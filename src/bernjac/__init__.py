@@ -7,6 +7,7 @@ constrained L2-optimal degree reduction of Bezier curves.
 from .bases import (
     BernsteinPoly,
     BezierCurve,
+    ConnectionMatrix,
     ModJacobiCoeffs,
     TransformParams,
     bernstein_gram,
@@ -17,17 +18,9 @@ from .bases import (
     eval_shifted_jacobi,
     inner_product,
 )
-from .bernstein_to_jacobi import (
-    CoeffMatrixD,
-    UFactorMatrix,
-    d_direct,
-    d_oracle,
-    d_theorem3,
-    d_theorem4,
-    u_factors,
-)
+from .bernstein_to_jacobi import d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
 from .degree_reduction import ReductionProblem, ReductionResult, elevate, forced_boundary, reduce
-from .jacobi_to_bernstein import CoeffMatrixC, c_direct, c_oracle, c_theorem1, c_theorem2
+from .jacobi_to_bernstein import c_direct, c_oracle, c_theorem1, c_theorem2
 from .specialfn import (
     HahnParams,
     beta_fn,
@@ -48,14 +41,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BernsteinPoly",
     "BezierCurve",
-    "CoeffMatrixC",
-    "CoeffMatrixD",
+    "ConnectionMatrix",
     "HahnParams",
     "ModJacobiCoeffs",
     "ReductionProblem",
     "ReductionResult",
     "TransformParams",
-    "UFactorMatrix",
     "bernstein_gram",
     "bernstein_to_jacobi_matrix",
     "beta_fn",

@@ -20,6 +20,11 @@ import numpy as np
 from .specialfn import beta_fn
 
 
+def _is_count(v) -> bool:
+    """True for a plain int; bool, although an int subclass, is refused."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class TransformParams:
     """Parameter bundle (n, k, l, alpha, beta) for one constrained space."""
@@ -31,14 +36,15 @@ class TransformParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"degree n must be a nonnegative integer, got {self.n}")
-        if not isinstance(self.k, int) or self.k < 0 or not isinstance(self.l, int) or self.l < 0:
-            raise ValueError(f"constraint orders must be nonnegative integers, got k={self.k}, l={self.l}")
+        if not _is_count(self.n) or self.n < 0:
+            raise ValueError(f"degree n must be a nonnegative integer, got {self.n!r}")
+        if not _is_count(self.k) or self.k < 0 or not _is_count(self.l) or self.l < 0:
+            raise ValueError(f"constraint orders must be nonnegative integers, got k={self.k!r}, l={self.l!r}")
         if self.k + self.l > self.n:
             raise ValueError(f"constraint orders must satisfy k + l <= n, got k={self.k}, l={self.l}, n={self.n}")
-        if self.alpha <= -1.0 or self.beta <= -1.0:
-            raise ValueError(f"weight exponents must satisfy alpha > -1 and beta > -1, got alpha={self.alpha}, beta={self.beta}")
+        a, b = self.alpha, self.beta
+        if not (math.isfinite(a) and math.isfinite(b)) or a <= -1.0 or b <= -1.0:
+            raise ValueError(f"weight exponents must be finite with alpha > -1 and beta > -1, got alpha={a}, beta={b}")
 
     @property
     def sigma(self) -> float:
@@ -55,6 +61,44 @@ class TransformParams:
     def i_indices(self) -> range:
         """Modified Jacobi indices i = k+l..n of the constrained basis."""
         return range(self.k + self.l, self.n + 1)
+
+
+@dataclass(frozen=True)
+class ConnectionMatrix:
+    """Dense connection-coefficient matrix between the two constrained bases.
+
+    ``rows`` names the row index: ``"i"`` (modified Jacobi, i = k+l..n) for
+    the Jacobi-to-Bernstein matrix c and the bridge factors u, ``"h"``
+    (Bernstein, h = k..n-l) for the Bernstein-to-Jacobi matrix d; columns
+    take the other index.  Use ``at`` for index-safe access by the
+    mathematical indices.  ``recurrence_steps`` counts executed three-term
+    steps (recurrence routes only).
+    """
+
+    params: TransformParams
+    values: np.ndarray
+    rows: str
+    recurrence_steps: int | None = None
+
+    def __post_init__(self):
+        if self.rows not in ("i", "h"):
+            raise ValueError(f"rows must be 'i' or 'h', got {self.rows!r}")
+
+    @property
+    def cols(self) -> str:
+        return "h" if self.rows == "i" else "i"
+
+    def indices(self, name: str) -> range:
+        """Range of the index called ``name`` ("i" or "h")."""
+        return self.params.i_indices() if name == "i" else self.params.h_indices()
+
+    def at(self, r: int, c: int) -> float:
+        rr, cr = self.indices(self.rows), self.indices(self.cols)
+        if r not in rr:
+            raise IndexError(f"row index {self.rows} must lie in [{rr.start}, {rr.stop - 1}], got {r}")
+        if c not in cr:
+            raise IndexError(f"column index {self.cols} must lie in [{cr.start}, {cr.stop - 1}], got {c}")
+        return float(self.values[r - rr.start, c - cr.start])
 
 
 def _coerce_coeffs(coeffs, dim: int) -> np.ndarray:
@@ -247,13 +291,15 @@ def curve_from_json(obj: dict) -> BezierCurve:
         pts = obj["control_points"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"curve object is missing field {exc}") from exc
-    if not isinstance(degree, int) or degree < 0:
+    if not _is_count(degree) or degree < 0:
         raise ValueError(f"curve degree must be a nonnegative integer, got {degree!r}")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_count(dimension) or dimension < 1:
         raise ValueError(f"curve dimension must be a positive integer, got {dimension!r}")
     if len(pts) != degree + 1:
         raise ValueError(f"expected {degree + 1} control points, got {len(pts)}")
     arr = np.asarray(pts, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != dimension:
         raise ValueError("control points must be rows of 'dimension' numbers each")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("control points must be finite numbers")
     return BezierCurve(arr)

@@ -19,50 +19,11 @@ lane values, so memory beyond the output stays O(n):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import TransformParams
+from .bases import ConnectionMatrix, TransformParams
 from .specialfn import HahnParams, _float_binomials, _poch_ratio, gen_binomial, hahn_eval
-
-
-@dataclass(frozen=True)
-class CoeffMatrixD:
-    """Bernstein-to-Jacobi matrix; row h holds the modified Jacobi
-    coefficients of B_h^n.
-
-    ``values`` is dense with rows h = k..n-l and columns i = k+l..n.
-    """
-
-    params: TransformParams
-    values: np.ndarray
-    recurrence_steps: int | None = None
-
-    def at(self, h: int, i: int) -> float:
-        p = self.params
-        if not p.k <= h <= p.n - p.l:
-            raise IndexError(f"row index h must lie in [{p.k}, {p.n - p.l}], got {h}")
-        if not p.k + p.l <= i <= p.n:
-            raise IndexError(f"column index i must lie in [{p.k + p.l}, {p.n}], got {i}")
-        return float(self.values[h - p.k, i - p.k - p.l])
-
-
-@dataclass(frozen=True)
-class UFactorMatrix:
-    """Elementwise bridge factors, same row/column convention as the
-    Jacobi-to-Bernstein matrix (rows i = k+l..n, columns h = k..n-l)."""
-
-    params: TransformParams
-    values: np.ndarray
-
-    def at(self, i: int, h: int) -> float:
-        p = self.params
-        if not p.k + p.l <= i <= p.n:
-            raise IndexError(f"row index i must lie in [{p.k + p.l}, {p.n}], got {i}")
-        if not p.k <= h <= p.n - p.l:
-            raise IndexError(f"column index h must lie in [{p.k}, {p.n - p.l}], got {h}")
-        return float(self.values[i - p.k - p.l, h - p.k])
 
 
 def _z_entry(p: TransformParams, h: int, i: int) -> float:
@@ -112,42 +73,36 @@ def _z_first_column(p: TransformParams) -> list[float]:
     return out
 
 
-def _direct_row_chunk(p: TransformParams, lo: int, hi: int) -> list[list[float]]:
-    """Rows lo..hi-1 (indexing h = k+lo..) of the direct construction."""
+def d_direct(p: TransformParams) -> ConnectionMatrix:
+    """Entrywise z-product times Hahn-series w (cubic-cost reference)."""
     n, k, l = p.n, p.k, p.l
     m = n - k - l
     hp = HahnParams(p.beta + 2.0 * k, p.alpha + 2.0 * l, m)
     rows = []
-    for h in range(k + lo, k + hi):
+    for h in range(k, n - l + 1):
         rows.append([_z_entry(p, h, i) * hahn_eval(i - k - l, h - k, hp)
                      for i in range(k + l, n + 1)])
-    return rows
+    return ConnectionMatrix(p, np.array(rows), "h")
 
 
-def d_direct(p: TransformParams) -> CoeffMatrixD:
-    """Entrywise z-product times Hahn-series w (cubic-cost reference)."""
-    return CoeffMatrixD(p, np.array(_direct_row_chunk(p, 0, p.dim)))
-
-
-def _theorem3_row_chunk(p: TransformParams, lo: int, hi: int) -> tuple[list[list[float]], int]:
-    """Rows lo..hi-1 (fixed-h lanes) of the Theorem-3 construction, plus the
-    number of three-term steps they executed."""
+def d_theorem3(p: TransformParams) -> ConnectionMatrix:
+    """Fixed-h lanes advanced over i: w by the three-term relation seeded at
+    i = k+l, k+l+1, z by the one-term ratio from its first-column value."""
     n, k, l = p.n, p.k, p.l
     a, b, sig = p.alpha, p.beta, p.sigma
     m = n - k - l
-    zseed = _z_first_column(p)[lo:hi]
-    width = hi - lo
-    rows = [[0.0] * (m + 1) for _ in range(width)]
-    w2 = [1.0] * width
-    for s in range(width):
+    zseed = _z_first_column(p)
+    rows = [[0.0] * (m + 1) for _ in range(m + 1)]
+    w2 = [1.0] * (m + 1)
+    for s in range(m + 1):
         rows[s][0] = zseed[s]
     steps = 0
     zprod = 1.0
     if m >= 1:
         zprod = _z_lane_ratio(p, k + l + 1)
         cw = (2.0 * k + 2.0 * l + sig + 1.0) / ((k + l - n) * (b + 2.0 * k + 1.0))
-        w1 = [1.0 + (lo + s) * cw for s in range(width)]
-        for s in range(width):
+        w1 = [1.0 + s * cw for s in range(m + 1)]
+        for s in range(m + 1):
             rows[s][1] = zseed[s] * zprod * w1[s]
     for i in range(k + l + 2, n + 1):
         zprod *= _z_lane_ratio(p, i)
@@ -156,30 +111,21 @@ def _theorem3_row_chunk(p: TransformParams, lo: int, hi: int) -> tuple[list[list
         pslope = (2.0 * i + a + b - 1.0) * (2.0 * i + a + b) / (
             (i + k + l + a + b) * (i + k + b - l) * (i - n - 1.0))
         col = i - k - l
-        w0 = [0.0] * width
-        for s in range(width):
-            wv = (1.0 - S + (lo + s) * pslope) * w1[s] + S * w2[s]
+        w0 = [0.0] * (m + 1)
+        for s in range(m + 1):
+            wv = (1.0 - S + s * pslope) * w1[s] + S * w2[s]
             w0[s] = wv
             rows[s][col] = zseed[s] * zprod * wv
-        steps += width
+        steps += m + 1
         w2, w1 = w1, w0
-    return rows, steps
+    return ConnectionMatrix(p, np.array(rows), "h", recurrence_steps=steps)
 
 
-def d_theorem3(p: TransformParams) -> CoeffMatrixD:
-    """Fixed-h lanes advanced over i: w by the three-term relation seeded at
-    i = k+l, k+l+1, z by the one-term ratio from its first-column value."""
-    rows, steps = _theorem3_row_chunk(p, 0, p.dim)
-    return CoeffMatrixD(p, np.array(rows), recurrence_steps=steps)
-
-
-def _theorem4_col_chunk(p: TransformParams, lo: int, hi: int) -> tuple[list[list[float]], int]:
-    """Columns lo..hi-1 (fixed-i lanes) of the Theorem-4 construction, as
-    full-height rows of width hi-lo, plus the step count."""
+def d_theorem4(p: TransformParams) -> ConnectionMatrix:
+    """Fixed-i lanes advanced over h: the production route."""
     n, k, l = p.n, p.k, p.l
     a, b, sig = p.alpha, p.beta, p.sigma
     m = n - k - l
-    width = hi - lo
     # h-dependent pieces shared across lanes; index s = h - k
     zcol = [1.0] * (m + 1)
     for s in range(1, m + 1):
@@ -193,11 +139,9 @@ def _theorem4_col_chunk(p: TransformParams, lo: int, hi: int) -> tuple[list[list
         vcoef[s] = (h - k - 1.0) * (l + n + a + 2.0 - h) / den
         invden[s] = 1.0 / den
     zrow = _z_first_column(p)[0]
-    for i in range(k + l + 1, k + l + lo + 1):
-        zrow *= _z_lane_ratio(p, i)
-    rows = [[0.0] * width for _ in range(m + 1)]
+    rows = [[0.0] * (m + 1) for _ in range(m + 1)]
     steps = 0
-    for col, i in enumerate(range(k + l + lo, k + l + hi)):
+    for col, i in enumerate(range(k + l, n + 1)):
         if col:
             zrow *= _z_lane_ratio(p, i)
         wfac = (i - k - l) * (i + k + l + sig)
@@ -211,24 +155,17 @@ def _theorem4_col_chunk(p: TransformParams, lo: int, hi: int) -> tuple[list[list
                 rows[s][col] = zrow * zcol[s] * w0
                 w2, w1 = w1, w0
             steps += max(0, m - 1)
-    return rows, steps
+    return ConnectionMatrix(p, np.array(rows), "h", recurrence_steps=steps)
 
 
-def d_theorem4(p: TransformParams) -> CoeffMatrixD:
-    """Fixed-i lanes advanced over h: the production route."""
-    rows, steps = _theorem4_col_chunk(p, 0, p.dim)
-    return CoeffMatrixD(p, np.array(rows), recurrence_steps=steps)
-
-
-def _oracle_col_chunk(p: TransformParams, lo: int, hi: int) -> list[list[float]]:
-    """Columns lo..hi-1 (indexing i = k+l+lo..) of the closed-form
-    construction, returned column-major."""
+def d_oracle(p: TransformParams) -> ConnectionMatrix:
+    """Closed-form literature evaluation with gamma-based binomials (cubic cost)."""
     n, k, l = p.n, p.k, p.l
     a, b, sig = p.alpha, p.beta, p.sigma
     m = n - k - l
     binom_n = _float_binomials(n)
     cols = []
-    for i in range(k + l + lo, k + l + hi):
+    for i in range(k + l, n + 1):
         mi = i - l - k
         # (2i+alpha+beta+1) * Gamma(i+k+l+alpha+beta+1) == Gamma(i+k+l+sigma+1)
         # at i = k+l; elsewhere both factors are safely positive
@@ -252,15 +189,10 @@ def _oracle_col_chunk(p: TransformParams, lo: int, hi: int) -> list[list[float]]
                 sign = -sign
             col[s] = binom_n[k + s] * g0 * acc
         cols.append(col)
-    return cols
+    return ConnectionMatrix(p, np.array(cols).T, "h")
 
 
-def d_oracle(p: TransformParams) -> CoeffMatrixD:
-    """Closed-form literature evaluation with gamma-based binomials (cubic cost)."""
-    return CoeffMatrixD(p, np.array(_oracle_col_chunk(p, 0, p.dim)).T)
-
-
-def u_factors(p: TransformParams, by: str = "h") -> UFactorMatrix:
+def u_factors(p: TransformParams, by: str = "h") -> ConnectionMatrix:
     """Bridge factors u with c[i][h] = u[i][h] * d[h][i].
 
     ``by="h"`` seeds the first row (i = k+l) and advances each column over i;
@@ -310,4 +242,4 @@ def u_factors(p: TransformParams, by: str = "h") -> UFactorMatrix:
                 vals[r, s] = u
     else:
         raise ValueError(f"route must be 'h' or 'i', got {by!r}")
-    return UFactorMatrix(p, vals)
+    return ConnectionMatrix(p, vals, "i")

@@ -54,48 +54,6 @@ def _builder(direction: str, method: str):
     return lambda p: getattr(mod, name)(p)
 
 
-# lane-chunk builders: (module attribute, lanes are columns?, chunk has step counter?)
-_CHUNKS = {
-    ("c", "direct"): ("_direct_row_chunk", False, False),
-    ("c", "thm1"): ("_theorem1_row_chunk", False, True),
-    ("c", "thm2"): ("_theorem2_col_chunk", True, True),
-    ("c", "oracle"): ("_oracle_row_chunk", False, False),
-    ("d", "direct"): ("_direct_row_chunk", False, False),
-    ("d", "thm3"): ("_theorem3_row_chunk", False, True),
-    ("d", "thm4"): ("_theorem4_col_chunk", True, True),
-    ("d", "oracle"): ("_oracle_col_chunk", True, False),
-}
-
-
-def _lane_chunk(direction: str, method: str, p: TransformParams, lo: int, hi: int):
-    mod = jacobi_to_bernstein if direction == "c" else bernstein_to_jacobi
-    name, _, counted = _CHUNKS[(direction, method)]
-    out = getattr(mod, name)(p, lo, hi)
-    return out[0] if counted else out
-
-
-def build_matrix_parallel(direction: str, method: str, p: TransformParams, workers: int):
-    """Assemble a connection matrix from independent lane chunks computed in
-    worker processes; bit-identical to the serial build."""
-    if (direction, method) not in _CHUNKS:
-        raise ValueError(f"method {method!r} is not valid for direction {direction!r}")
-    _, by_columns, _ = _CHUNKS[(direction, method)]
-    workers = max(1, min(workers, p.dim))
-    bounds = [(p.dim * w // workers, p.dim * (w + 1) // workers) for w in range(workers)]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_lane_chunk, [direction] * workers, [method] * workers,
-                              [p] * workers, [b[0] for b in bounds], [b[1] for b in bounds]))
-    if by_columns and direction == "d" and method == "oracle":
-        values = np.vstack([np.array(part) for part in parts]).T
-    elif by_columns:
-        values = np.hstack([np.array(part) for part in parts])
-    else:
-        values = np.vstack([np.array(part) for part in parts])
-    cls = jacobi_to_bernstein.CoeffMatrixC if direction == "c" else bernstein_to_jacobi.CoeffMatrixD
-    return cls(p, values)
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bernjac-")
@@ -116,26 +74,24 @@ def _atomic_write(path: str, text: str) -> None:
 def matrix_csv(mat) -> str:
     """CSV form of a connection matrix, shortest round-trip decimals.
 
-    Jacobi-to-Bernstein matrices are labelled `i\\h` (rows i), the reverse
-    direction `h\\i` (rows h).
+    The corner cell names the row and column indices: `i\\h` for rows i,
+    `h\\i` for rows h.
     """
-    p = mat.params
-    if isinstance(mat, jacobi_to_bernstein.CoeffMatrixC):
-        corner, row_labels, col_labels = "i\\h", p.i_indices(), p.h_indices()
-    else:
-        corner, row_labels, col_labels = "h\\i", p.h_indices(), p.i_indices()
-    lines = [",".join([corner] + [str(c) for c in col_labels])]
-    for r, label in enumerate(row_labels):
+    lines = [",".join([f"{mat.rows}\\{mat.cols}"] + [str(c) for c in mat.indices(mat.cols)])]
+    for r, label in enumerate(mat.indices(mat.rows)):
         lines.append(",".join([str(label)] + [repr(float(v)) for v in mat.values[r]]))
     return "\n".join(lines) + "\n"
 
 
+def _require_finite(what: str, *arrays) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError(f"{what} has non-finite entries; nothing was written")
+
+
 def _cmd_matrix(args) -> int:
     p = TransformParams(args.n, args.k, args.l, args.alpha, args.beta)
-    if args.parallel > 1:
-        mat = build_matrix_parallel(args.direction, args.method, p, args.parallel)
-    else:
-        mat = _builder(args.direction, args.method)(p)
+    mat = _builder(args.direction, args.method)(p)
+    _require_finite("matrix", mat.values)
     _atomic_write(args.out, matrix_csv(mat))
     return 0
 
@@ -150,6 +106,7 @@ def _cmd_reduce(args) -> int:
     prob = degree_reduction.ReductionProblem(
         curve, args.target_degree, args.k, args.l, args.alpha, args.beta)
     res = degree_reduction.reduce(prob)
+    _require_finite("reduction result", res.reduced.control_points, res.l2_error, res.discarded.coeffs)
     dp = res.discarded.params
     payload = {
         "reduced": curve_to_json(res.reduced),
@@ -284,6 +241,14 @@ def _cmd_bench(args) -> int:
 # check
 
 
+def _worst(excess: np.ndarray) -> tuple[int, int]:
+    """Position of the largest excess over tolerance; NaN counts as the
+    largest, so a NaN deviation is reported and fails."""
+    flat = int(np.argmax(np.where(np.isnan(excess), math.inf, excess)))
+    r, c = np.unravel_index(flat, excess.shape)
+    return int(r), int(c)
+
+
 def _cross_check(name: str, mats: dict[str, np.ndarray], atol: float, rtol: float,
                  row_name: str, row_start: int, col_name: str, col_start: int) -> dict:
     names = list(mats)
@@ -294,9 +259,10 @@ def _cross_check(name: str, mats: dict[str, np.ndarray], atol: float, rtol: floa
             A, B = mats[names[ia]], mats[names[ib]]
             dev = np.abs(A - B)
             tol = atol + rtol * np.maximum(np.abs(A), np.abs(B))
-            flat = int(np.argmax(dev - tol))
-            r, c = np.unravel_index(flat, dev.shape)
+            r, c = _worst(dev - tol)
             excess = float(dev[r, c] - tol[r, c])
+            if math.isnan(excess):
+                excess = math.inf
             if excess > 0:
                 passed = False
             if excess > worst["excess"]:
@@ -317,7 +283,8 @@ def _cross_check(name: str, mats: dict[str, np.ndarray], atol: float, rtol: floa
 def run_checks(p: TransformParams, atol: float = 1e-12, rtol: float = 1e-9,
                roundtrip_tol: float = 1e-8, ortho_tol: float = 1e-10) -> dict:
     """Cross-method, round-trip, bridge-factor and orthogonality checks for
-    one parameter set; returns a JSON-ready report."""
+    one parameter set; returns a JSON-ready report.  A NaN deviation fails
+    its check."""
     c_mats = {m: _builder("c", m)(p).values for m in _C_METHODS}
     d_mats = {m: _builder("d", m)(p).values for m in _D_METHODS}
     checks = [
@@ -329,29 +296,27 @@ def run_checks(p: TransformParams, atol: float = 1e-12, rtol: float = 1e-9,
     eye = np.eye(p.dim)
     dev_dc = float(np.max(np.abs(D @ C - eye)))
     dev_cd = float(np.max(np.abs(C @ D - eye)))
-    checks.append({"name": "round_trip", "passed": max(dev_dc, dev_cd) <= roundtrip_tol,
-                   "max_deviation": max(dev_dc, dev_cd), "tolerance": roundtrip_tol,
+    checks.append({"name": "round_trip", "passed": dev_dc <= roundtrip_tol and dev_cd <= roundtrip_tol,
+                   "max_deviation": float(np.max([dev_dc, dev_cd])), "tolerance": roundtrip_tol,
                    "worst": {"DC": dev_dc, "CD": dev_cd}})
 
     U = bernstein_to_jacobi.u_factors(p).values
     dev = np.abs(C - U * D.T)
     tol = atol + rtol * np.abs(C)
-    flat = int(np.argmax(dev - tol))
-    r, c = np.unravel_index(flat, dev.shape)
+    r, c = _worst(dev - tol)
     checks.append({"name": "proposition_bridge", "passed": bool(np.all(dev <= tol)),
                    "max_deviation": float(dev[r, c]), "tolerance": float(tol[r, c]),
-                   "worst": {"i": int(p.k + p.l + r), "h": int(p.k + c)}})
+                   "worst": {"i": p.k + p.l + r, "h": p.k + c}})
 
     M = C @ bernstein_gram(p) @ C.T
     norms = np.sqrt(np.abs(np.diag(M)))
     off = np.abs(M) - ortho_tol * np.outer(norms, norms)
     np.fill_diagonal(off, -math.inf)
-    flat = int(np.argmax(off))
-    r, c = np.unravel_index(flat, off.shape)
+    r, c = _worst(off)
     checks.append({"name": "orthogonality", "passed": bool(np.all(off <= 0.0)),
                    "max_deviation": float(np.abs(M[r, c])),
                    "tolerance": float(ortho_tol * norms[r] * norms[c]),
-                   "worst": {"i": int(p.k + p.l + r), "j": int(p.k + p.l + c)}})
+                   "worst": {"i": p.k + p.l + r, "j": p.k + p.l + c}})
 
     return {
         "params": {"n": p.n, "k": p.k, "l": p.l, "alpha": p.alpha, "beta": p.beta},
@@ -400,8 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", default=None,
                     help="c: direct|thm1|thm2|oracle, d: direct|thm3|thm4|oracle")
     _add_param_flags(sp)
-    sp.add_argument("--parallel", type=int, default=1, metavar="W",
-                    help="compute independent matrix lanes in W worker processes")
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=_cmd_matrix)
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BezierCurve, ModJacobiCoeffs, TransformParams, bernstein_gram
+from .bases import BezierCurve, ModJacobiCoeffs, TransformParams, _is_count
 from .bernstein_to_jacobi import d_theorem4
 from .jacobi_to_bernstein import c_theorem2
+from .specialfn import beta_fn
 
 
 @dataclass(frozen=True)
@@ -38,17 +39,15 @@ class ReductionProblem:
 
     def __post_init__(self):
         n, m = self.source.degree, self.target_degree
-        if self.k < 0 or self.l < 0:
-            raise ValueError(f"constraint orders must be nonnegative, got k={self.k}, l={self.l}")
+        if not _is_count(m):
+            raise ValueError(f"target degree must be an integer, got {m!r}")
+        # validates k, l, alpha, beta and k + l <= n
+        TransformParams(n, self.k, self.l, self.alpha, self.beta)
         if m < self.k + self.l - 1:
             raise ValueError(
                 f"target degree {m} cannot satisfy {self.k}+{self.l} endpoint constraints")
         if m > n:
             raise ValueError(f"target degree {m} exceeds source degree {n}")
-        if self.k + self.l > n:
-            raise ValueError(f"constraint orders must satisfy k + l <= source degree {n}")
-        if self.alpha <= -1.0 or self.beta <= -1.0:
-            raise ValueError("weight exponents must satisfy alpha > -1 and beta > -1")
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,27 @@ def forced_boundary(curve: BezierCurve, m: int, k: int, l: int) -> tuple[np.ndar
     return head, tail
 
 
+def _mod_jacobi_norms_sq(p: TransformParams, first: int) -> np.ndarray:
+    """Squared weighted-L2 norms of the modified Jacobi polynomials J_i,
+    i = k+l+first..n, in closed form.
+
+    J_i carries the shifted Jacobi polynomial of degree j = i-k-l with the
+    lifted exponents A = alpha+2l, B = beta+2k, whose squared norm is
+    Gamma(j+A+1) Gamma(j+B+1) / ((2j+A+B+1) j! Gamma(j+A+B+1)).
+    """
+    A, B = p.alpha + 2.0 * p.l, p.beta + 2.0 * p.k
+    out = []
+    for j in range(first, p.dim):
+        if j == 0:
+            # equal to the general form, and finite where A+B+1 <= 0
+            out.append(beta_fn(A + 1.0, B + 1.0))
+        else:
+            out.append(math.exp(math.lgamma(j + A + 1.0) + math.lgamma(j + B + 1.0)
+                                - math.lgamma(j + 1.0) - math.lgamma(j + A + B + 1.0))
+                       / (2.0 * j + A + B + 1.0))
+    return np.array(out)
+
+
 def reduce(prob: ReductionProblem, _stub_free: np.ndarray | None = None) -> ReductionResult:
     """L2-optimal constrained degree reduction.
 
@@ -117,7 +137,8 @@ def reduce(prob: ReductionProblem, _stub_free: np.ndarray | None = None) -> Redu
     elevate it to degree n, expand the residual in the orthogonal modified
     Jacobi basis, truncate to indices <= m, map the kept part back to the
     degree-m Bernstein basis, and add it into the stub's free slots.  The
-    discarded components give the error exactly (Parseval).
+    discarded components give the error exactly (Parseval), weighted by the
+    closed-form squared norms of the modified Jacobi polynomials.
 
     ``_stub_free`` overrides the zero initial values of the free control
     points; any feasible stub yields the same reduction.
@@ -153,11 +174,9 @@ def reduce(prob: ReductionProblem, _stub_free: np.ndarray | None = None) -> Redu
     discarded[kept:] = jac[kept:]
     err_sq = 0.0
     if kept < jac.shape[0]:
-        crows = c_theorem2(pn).values[kept:]
-        norms_sq = np.einsum("ij,jk,ik->i", crows, bernstein_gram(pn), crows)
-        err_sq = float(norms_sq @ np.sum(jac[kept:] ** 2, axis=1))
+        err_sq = float(_mod_jacobi_norms_sq(pn, kept) @ np.sum(jac[kept:] ** 2, axis=1))
     return ReductionResult(
         reduced=BezierCurve(reduced_pts),
-        l2_error=math.sqrt(max(err_sq, 0.0)),
+        l2_error=math.sqrt(err_sq),
         discarded=ModJacobiCoeffs(pn, discarded),
     )

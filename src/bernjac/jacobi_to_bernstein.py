@@ -14,40 +14,15 @@ Four independent construction routes with one output contract:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import TransformParams
+from .bases import ConnectionMatrix, TransformParams
 from .specialfn import HahnParams, _float_binomials, gen_binomial, hahn_eval
 
 
-@dataclass(frozen=True)
-class CoeffMatrixC:
-    """Jacobi-to-Bernstein matrix; row i holds the Bernstein coefficients of
-    the i-th modified Jacobi polynomial.
-
-    ``values`` is dense with rows i = k+l..n and columns h = k..n-l; use
-    ``at`` for index-safe access by the mathematical indices.
-    ``recurrence_steps`` counts executed three-term steps (recurrence routes
-    only).
-    """
-
-    params: TransformParams
-    values: np.ndarray
-    recurrence_steps: int | None = None
-
-    def at(self, i: int, h: int) -> float:
-        p = self.params
-        if not p.k + p.l <= i <= p.n:
-            raise IndexError(f"row index i must lie in [{p.k + p.l}, {p.n}], got {i}")
-        if not p.k <= h <= p.n - p.l:
-            raise IndexError(f"column index h must lie in [{p.k}, {p.n - p.l}], got {h}")
-        return float(self.values[i - p.k - p.l, h - p.k])
-
-
-def _direct_row_chunk(p: TransformParams, lo: int, hi: int) -> list[list[float]]:
-    """Rows lo..hi-1 (indexing i = k+l+lo..) of the direct construction."""
+def c_direct(p: TransformParams) -> ConnectionMatrix:
+    """Entrywise Hahn-series construction (cubic-cost reference)."""
     n, k, l, a, b = p.n, p.k, p.l, p.alpha, p.beta
     m = n - k - l
     hp = HahnParams(a + 2.0 * l, b + 2.0 * k, m)
@@ -56,23 +31,16 @@ def _direct_row_chunk(p: TransformParams, lo: int, hi: int) -> list[list[float]]
     scale = [binom_m[s] / binom_n[k + s] for s in range(m + 1)]
     rows = []
     pre = 1.0
-    for r in range(lo):
-        pre *= (a + 2.0 * l + r + 1.0) / (r + 1.0)
-    for r in range(lo, hi):
-        if r > lo:
+    for r in range(m + 1):
+        if r:
             pre *= (a + 2.0 * l + r) / r
         rows.append([pre * scale[s] * hahn_eval(r, m - s, hp) for s in range(m + 1)])
-    return rows
+    return ConnectionMatrix(p, np.array(rows), "i")
 
 
-def c_direct(p: TransformParams) -> CoeffMatrixC:
-    """Entrywise Hahn-series construction (cubic-cost reference)."""
-    return CoeffMatrixC(p, np.array(_direct_row_chunk(p, 0, p.dim)))
-
-
-def _theorem1_row_chunk(p: TransformParams, lo: int, hi: int) -> tuple[list[list[float]], int]:
-    """Rows lo..hi-1 of the row-recurrence construction, with the number of
-    three-term steps they executed."""
+def c_theorem1(p: TransformParams) -> ConnectionMatrix:
+    """Row recurrence: two seeds at h = n-l, n-l-1, then the three-term
+    relation down to h = k, independently for every i."""
     n, k, l, a, b = p.n, p.k, p.l, p.alpha, p.beta
     m = n - k - l
     sig = p.sigma
@@ -95,10 +63,8 @@ def _theorem1_row_chunk(p: TransformParams, lo: int, hi: int) -> tuple[list[list
     rows = []
     steps = 0
     pre = 1.0
-    for r in range(lo):
-        pre *= (a + 2.0 * l + r + 1.0) / (r + 1.0)
-    for r in range(lo, hi):
-        if r > lo:
+    for r in range(m + 1):
+        if r:
             pre *= (a + 2.0 * l + r) / r
         i = k + l + r
         wfac = (k + l - i) * (i + k + l + sig)
@@ -111,42 +77,26 @@ def _theorem1_row_chunk(p: TransformParams, lo: int, hi: int) -> tuple[list[list
             row[s] = f * row[s + 1] + gcoef[s] * row[s + 2]
         steps += max(0, m - 1)
         rows.append(row)
-    return rows, steps
+    return ConnectionMatrix(p, np.array(rows), "i", recurrence_steps=steps)
 
 
-def c_theorem1(p: TransformParams) -> CoeffMatrixC:
-    """Row recurrence: two seeds at h = n-l, n-l-1, then the three-term
-    relation down to h = k, independently for every i."""
-    rows, steps = _theorem1_row_chunk(p, 0, p.dim)
-    return CoeffMatrixC(p, np.array(rows), recurrence_steps=steps)
-
-
-def _theorem2_col_chunk(p: TransformParams, lo: int, hi: int) -> tuple[list[list[float]], int]:
-    """Columns lo..hi-1 (indexing h = k+lo..) of the column-recurrence
-    construction, as full-height rows of width hi-lo, plus the step count."""
+def c_theorem2(p: TransformParams) -> ConnectionMatrix:
+    """Column recurrence: seeds at i = k+l, k+l+1, then the three-term
+    relation up to i = n, independently for every h.  Production route."""
     n, k, l, a, b = p.n, p.k, p.l, p.alpha, p.beta
     m = n - k - l
     sig = p.sigma
-    width = hi - lo
-    rows = []
     steps = 0
     # seed row i = k+l: C(m, h-k)/C(n, h), advanced by the adjacent-h ratio
-    # from h = k so chunked builds reproduce the serial bits exactly
-    seed = 1.0 / float(math.comb(n, k))
-    for s in range(lo):
+    row0 = [0.0] * (m + 1)
+    row0[0] = 1.0 / float(math.comb(n, k))
+    for s in range(m):
         h = k + s
-        seed = seed * (h + 1.0) * (n - l - h) / ((n - h) * (h + 1.0 - k))
-    row0 = [0.0] * width
-    row0[0] = seed
-    for s in range(lo, lo + width - 1):
-        h = k + s
-        row0[s - lo + 1] = row0[s - lo] * (h + 1.0) * (n - l - h) / ((n - h) * (h + 1.0 - k))
-    rows.append(row0)
+        row0[s + 1] = row0[s] * (h + 1.0) * (n - l - h) / ((n - h) * (h + 1.0 - k))
+    rows = [row0]
     if m >= 1:
         cfac = (sig + 2.0 * k + 2.0 * l + 1.0) / (k + l - n)
-        row1 = [row0[s - lo] * (a + 2.0 * l + 1.0 - cfac * (l + k + s - n))
-                for s in range(lo, hi)]
-        rows.append(row1)
+        rows.append([row0[s] * (a + 2.0 * l + 1.0 - cfac * (l + k + s - n)) for s in range(m + 1)])
     for i in range(k + l + 2, n + 1):
         M = (i - k - l - 1.0) * (n + i + a + b) * (i + k + b - l - 1.0) * (2.0 * i + a + b) / (
             (2.0 * i + a + b - 2.0) * (i + k + l + a + b) * (i + l + a - k) * (i - n - 1.0))
@@ -156,28 +106,23 @@ def _theorem2_col_chunk(p: TransformParams, lo: int, hi: int) -> tuple[list[list
             (i - k - l) * (i + k + l + a + b) * (i - n - 1.0))
         prev1 = rows[-1]
         prev2 = rows[-2]
-        row = [(kbase - (s - m) * kslope) * prev1[s - lo] + L * prev2[s - lo]
-               for s in range(lo, hi)]
-        steps += width
-        rows.append(row)
-    return rows, steps
+        rows.append([(kbase - (s - m) * kslope) * prev1[s] + L * prev2[s] for s in range(m + 1)])
+        steps += m + 1
+    return ConnectionMatrix(p, np.array(rows), "i", recurrence_steps=steps)
 
 
-def c_theorem2(p: TransformParams) -> CoeffMatrixC:
-    """Column recurrence: seeds at i = k+l, k+l+1, then the three-term
-    relation up to i = n, independently for every h.  Production route."""
-    rows, steps = _theorem2_col_chunk(p, 0, p.dim)
-    return CoeffMatrixC(p, np.array(rows), recurrence_steps=steps)
+def c_oracle(p: TransformParams) -> ConnectionMatrix:
+    """Corrected closed-form evaluation with gamma-based binomials (cubic cost).
 
-
-def _oracle_row_chunk(p: TransformParams, lo: int, hi: int) -> list[list[float]]:
-    """Rows lo..hi-1 of the closed-form construction."""
+    Gamma domain violations, impossible inside the valid parameter region,
+    propagate as ValueError.
+    """
     n, k, l, a, b = p.n, p.k, p.l, p.alpha, p.beta
     m = n - k - l
     binom_n = _float_binomials(n)
     inv_binom = [1.0 / binom_n[k + s] for s in range(m + 1)]
     rows = []
-    for i in range(k + l + lo, k + l + hi):
+    for i in range(k + l, n + 1):
         mi = i - l - k
         b1 = [gen_binomial(i + a + l - k, r) for r in range(mi + 1)]
         b2 = [gen_binomial(i + b - l + k, mi - r) for r in range(mi + 1)]
@@ -194,13 +139,4 @@ def _oracle_row_chunk(p: TransformParams, lo: int, hi: int) -> list[list[float]]
                 sign = -sign
             row[s] = inv_binom[s] * acc
         rows.append(row)
-    return rows
-
-
-def c_oracle(p: TransformParams) -> CoeffMatrixC:
-    """Corrected closed-form evaluation with gamma-based binomials (cubic cost).
-
-    Gamma domain violations, impossible inside the valid parameter region,
-    propagate as ValueError.
-    """
-    return CoeffMatrixC(p, np.array(_oracle_row_chunk(p, 0, p.dim)))
+    return ConnectionMatrix(p, np.array(rows), "i")

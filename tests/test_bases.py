@@ -36,6 +36,11 @@ class TestTransformParams:
         (2, 1, 2, 0.0, 0.0),
         (3, 0, 0, -1.0, 0.0),
         (3, 0, 0, 0.0, -1.5),
+        (5, 1, 1, math.nan, 0.0),
+        (5, 1, 1, 0.0, math.inf),
+        (True, 0, 0, 0.0, 0.0),
+        (3, True, 0, 0.0, 0.0),
+        (3, 0, 1.0, 0.0, 0.0),
     ])
     def test_invalid(self, n, k, l, a, b):
         with pytest.raises(ValueError):
@@ -243,6 +248,10 @@ class TestCurveJson:
         {"degree": 2, "dimension": 1, "control_points": [[0.0], [1.0]]},
         {"degree": 1, "dimension": 2, "control_points": [[0.0], [1.0]]},
         {"degree": -1, "dimension": 1, "control_points": []},
+        {"degree": 1, "dimension": 1, "control_points": [[0.0], [math.nan]]},
+        {"degree": 1, "dimension": 1, "control_points": [[-math.inf], [1.0]]},
+        {"degree": True, "dimension": 1, "control_points": [[0.0], [1.0]]},
+        {"degree": 1, "dimension": True, "control_points": [[0.0], [1.0]]},
     ])
     def test_invalid_objects(self, obj):
         with pytest.raises(ValueError):

@@ -1,19 +1,31 @@
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from conftest import assert_mixed_close
 
+import bernjac.degree_reduction as dred
 import bernjac.jacobi_to_bernstein as j2b
 from bernjac.bases import TransformParams
+from bernjac.bernstein_to_jacobi import d_oracle
 from bernjac.cli import BENCH_METHODS, main, run_benchmark
-from bernjac.jacobi_to_bernstein import CoeffMatrixC, c_oracle
+from bernjac.jacobi_to_bernstein import c_oracle
 
 
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def nan_builder(real):
+    """A builder that returns ``real``'s matrix with every entry NaN."""
+    def build(p):
+        m = real(p)
+        return dataclasses.replace(m, values=np.full_like(m.values, np.nan))
+    return build
 
 
 class TestMatrixCommand:
@@ -68,13 +80,28 @@ class TestMatrixCommand:
         ("c", "thm1"), ("c", "thm2"), ("c", "direct"), ("c", "oracle"),
         ("d", "thm3"), ("d", "thm4"), ("d", "direct"), ("d", "oracle"),
     ])
-    def test_parallel_lanes_match_serial(self, tmp_path, direction, method):
-        base = ["matrix", direction, "--method", method, "-n", "9", "-k", "1", "-l", "2",
-                "--alpha", "0.5", "--beta", "-0.5"]
-        serial, par = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert main(base + ["--out", str(serial)]) == 0
-        assert main(base + ["--parallel", "3", "--out", str(par)]) == 0
-        assert serial.read_text() == par.read_text()
+    def test_every_method_writes_labelled_csv(self, tmp_path, direction, method):
+        out = tmp_path / "m.csv"
+        assert main(["matrix", direction, "--method", method, "-n", "9", "-k", "1", "-l", "2",
+                     "--alpha", "0.5", "--beta", "-0.5", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        i_labels, h_labels = [str(i) for i in range(3, 10)], [str(h) for h in range(1, 8)]
+        p = TransformParams(9, 1, 2, 0.5, -0.5)
+        if direction == "c":
+            corner, row_labels, col_labels, ref = "i\\h", i_labels, h_labels, c_oracle(p).values
+        else:
+            corner, row_labels, col_labels, ref = "h\\i", h_labels, i_labels, d_oracle(p).values
+        assert rows[0] == [corner] + col_labels
+        assert [r[0] for r in rows[1:]] == row_labels
+        got = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+        assert_mixed_close(got, ref, label=f"{direction}/{method}")
+
+    def test_non_finite_matrix_exit_2_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(j2b, "c_theorem2", nan_builder(j2b.c_theorem2))
+        out = tmp_path / "never.csv"
+        assert main(["matrix", "c", "-n", "6", "-k", "1", "-l", "1", "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReduceCommand:
@@ -125,6 +152,22 @@ class TestReduceCommand:
         bad.write_text("{not json")
         rc = main(["reduce", "--in", str(bad), "-m", "1", "--out", str(tmp_path / "r.json")])
         assert rc == 2
+
+    def test_non_finite_result_exit_2_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(dred, "d_theorem4", nan_builder(dred.d_theorem4))
+        src = self.write_curve(tmp_path, [0.0, 1.0, 0.0, 2.0, 1.0])
+        out = tmp_path / "never.json"
+        assert main(["reduce", "--in", str(src), "-m", "2", "-k", "1", "-l", "1",
+                     "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pts", [[0.0, float("nan"), 1.0], [0.0, float("inf"), 1.0]])
+    def test_non_finite_control_points_rejected(self, tmp_path, pts):
+        src = self.write_curve(tmp_path, pts)
+        out = tmp_path / "never.json"
+        assert main(["reduce", "--in", str(src), "-m", "1", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_infeasible_target(self, tmp_path):
         src = self.write_curve(tmp_path, [0.0, 1.0, 0.0, 2.0])
@@ -204,7 +247,7 @@ class TestCheckCommand:
             m = real(p)
             values = m.values.copy()
             values[-1, 0] += 1e-3 * (1.0 + abs(values[-1, 0]))
-            return CoeffMatrixC(m.params, values, m.recurrence_steps)
+            return dataclasses.replace(m, values=values)
 
         monkeypatch.setattr(j2b, "c_theorem2", corrupted)
         rc = main(["check", "-n", "8", "-k", "1", "-l", "0"])
@@ -215,6 +258,30 @@ class TestCheckCommand:
         assert "check failed" in captured.err
         failed = [ch for ch in report["checks"] if not ch["passed"]]
         assert any(ch["name"] == "cross_c" for ch in failed)
+
+    def test_nan_builder_fails_with_complete_report(self, monkeypatch, capsys):
+        monkeypatch.setattr(j2b, "c_theorem2", nan_builder(j2b.c_theorem2))
+        rc = main(["check", "-n", "6", "-k", "1", "-l", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["passed"] is False
+        checks = {ch["name"]: ch for ch in report["checks"]}
+        assert set(checks) == {"cross_c", "cross_d", "round_trip", "proposition_bridge",
+                               "orthogonality"}
+        for ch in checks.values():
+            assert set(ch) == {"name", "passed", "max_deviation", "tolerance", "worst"}
+        for name in ("cross_c", "round_trip", "proposition_bridge", "orthogonality"):
+            assert checks[name]["passed"] is False
+            assert math.isnan(checks[name]["max_deviation"])
+        assert checks["cross_d"]["passed"] is True
+        assert "pair" in checks["cross_c"]["worst"]
+        assert "check failed: cross_c" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--alpha=nan", "--beta=inf", "--alpha=-inf"])
+    def test_non_finite_weight_is_usage_error(self, flag, capsys):
+        assert main(["check", "-n", "5", flag]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def test_no_command_is_usage_error():
