@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BezierCurve, ModJacobiCoeffs, TransformParams, _is_count
+from .bases import BezierCurve, ModJacobiCoeffs, TransformParams, _is_count, bernstein_gram
 from .bernstein_to_jacobi import d_theorem4
 from .jacobi_to_bernstein import c_theorem2
-from .specialfn import beta_fn
 
 
 @dataclass(frozen=True)
@@ -109,27 +108,6 @@ def forced_boundary(curve: BezierCurve, m: int, k: int, l: int) -> tuple[np.ndar
     return head, tail
 
 
-def _mod_jacobi_norms_sq(p: TransformParams, first: int) -> np.ndarray:
-    """Squared weighted-L2 norms of the modified Jacobi polynomials J_i,
-    i = k+l+first..n, in closed form.
-
-    J_i carries the shifted Jacobi polynomial of degree j = i-k-l with the
-    lifted exponents A = alpha+2l, B = beta+2k, whose squared norm is
-    Gamma(j+A+1) Gamma(j+B+1) / ((2j+A+B+1) j! Gamma(j+A+B+1)).
-    """
-    A, B = p.alpha + 2.0 * p.l, p.beta + 2.0 * p.k
-    out = []
-    for j in range(first, p.dim):
-        if j == 0:
-            # equal to the general form, and finite where A+B+1 <= 0
-            out.append(beta_fn(A + 1.0, B + 1.0))
-        else:
-            out.append(math.exp(math.lgamma(j + A + 1.0) + math.lgamma(j + B + 1.0)
-                                - math.lgamma(j + 1.0) - math.lgamma(j + A + B + 1.0))
-                       / (2.0 * j + A + B + 1.0))
-    return np.array(out)
-
-
 def reduce(prob: ReductionProblem, _stub_free: np.ndarray | None = None) -> ReductionResult:
     """L2-optimal constrained degree reduction.
 
@@ -137,8 +115,7 @@ def reduce(prob: ReductionProblem, _stub_free: np.ndarray | None = None) -> Redu
     elevate it to degree n, expand the residual in the orthogonal modified
     Jacobi basis, truncate to indices <= m, map the kept part back to the
     degree-m Bernstein basis, and add it into the stub's free slots.  The
-    discarded components give the error exactly (Parseval), weighted by the
-    closed-form squared norms of the modified Jacobi polynomials.
+    discarded components give the error exactly (Parseval).
 
     ``_stub_free`` overrides the zero initial values of the free control
     points; any feasible stub yields the same reduction.
@@ -174,9 +151,11 @@ def reduce(prob: ReductionProblem, _stub_free: np.ndarray | None = None) -> Redu
     discarded[kept:] = jac[kept:]
     err_sq = 0.0
     if kept < jac.shape[0]:
-        err_sq = float(_mod_jacobi_norms_sq(pn, kept) @ np.sum(jac[kept:] ** 2, axis=1))
+        crows = c_theorem2(pn).values[kept:]
+        norms_sq = np.einsum("ij,jk,ik->i", crows, bernstein_gram(pn), crows)
+        err_sq = float(norms_sq @ np.sum(jac[kept:] ** 2, axis=1))
     return ReductionResult(
         reduced=BezierCurve(reduced_pts),
-        l2_error=math.sqrt(err_sq),
+        l2_error=math.sqrt(max(err_sq, 0.0)),
         discarded=ModJacobiCoeffs(pn, discarded),
     )

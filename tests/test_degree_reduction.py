@@ -244,24 +244,3 @@ class TestReduceProperties:
             kept = m - k - l + 1
             if kept > 0:
                 assert np.all(res.discarded.coeffs[:kept] == 0.0)
-
-
-def test_l2_error_matches_quadrature_optimum_at_high_degree():
-    """At (n, m) = (60, 30) the error agrees with the constrained optimum
-    computed independently: a weighted least-squares fit of the residual of
-    the endpoint interpolant on the basis x(1-x) P_j^(alpha+2, beta+2),
-    under Gauss-Jacobi quadrature exact for the degrees involved."""
-    special = pytest.importorskip("scipy.special")
-    n, m, k, l, alpha, beta = 60, 30, 1, 1, 0.5, -0.5
-    pts = np.random.default_rng(60).uniform(-1.0, 1.0, size=(n + 1, 2))
-    curve = BezierCurve(pts)
-    res = reduce(ReductionProblem(curve, m, k, l, alpha, beta))
-
-    t, w = special.roots_jacobi(n + 20, alpha, beta)
-    x, sw = (1.0 + t) / 2.0, np.sqrt(w / 2.0 ** (alpha + beta + 1.0))[:, None]
-    resid = np.array([curve.point(v) for v in x]) - np.outer(1.0 - x, pts[0]) - np.outer(x, pts[-1])
-    Q = np.stack([x * (1.0 - x) * special.eval_jacobi(j, alpha + 2.0, beta + 2.0, 2.0 * x - 1.0)
-                  for j in range(m - 1)], axis=1)
-    coef = np.linalg.lstsq(sw * Q, sw * resid, rcond=None)[0]
-    optimum = float(np.linalg.norm(sw * (resid - Q @ coef)))
-    assert res.l2_error == pytest.approx(optimum, rel=1e-8)
