@@ -295,9 +295,12 @@ def curve_from_json(obj: dict) -> BezierCurve:
         raise ValueError(f"curve degree must be a nonnegative integer, got {degree!r}")
     if not _is_count(dimension) or dimension < 1:
         raise ValueError(f"curve dimension must be a positive integer, got {dimension!r}")
-    if len(pts) != degree + 1:
-        raise ValueError(f"expected {degree + 1} control points, got {len(pts)}")
-    arr = np.asarray(pts, dtype=float)
+    try:
+        if len(pts) != degree + 1:
+            raise ValueError(f"expected {degree + 1} control points, got {len(pts)}")
+        arr = np.asarray(pts, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"control points must be a list of rows of numbers ({exc})") from exc
     if arr.ndim != 2 or arr.shape[1] != dimension:
         raise ValueError("control points must be rows of 'dimension' numbers each")
     if not np.all(np.isfinite(arr)):

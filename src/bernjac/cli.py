@@ -10,6 +10,7 @@ leave partial artifacts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -22,36 +23,30 @@ from time import perf_counter
 import numpy as np
 
 from . import bernstein_to_jacobi, degree_reduction, jacobi_to_bernstein
-from .bases import TransformParams, bernstein_gram, curve_from_json, curve_to_json
+from .bases import ConnectionMatrix, TransformParams, bernstein_gram, curve_from_json, curve_to_json
 
-_C_METHODS = {"direct": "c_direct", "thm1": "c_theorem1", "thm2": "c_theorem2", "oracle": "c_oracle"}
-_D_METHODS = {"direct": "d_direct", "thm3": "d_theorem3", "thm4": "d_theorem4", "oracle": "d_oracle"}
-
-BENCH_METHODS = ("thm1", "thm2", "oracle_c", "thm3", "thm4", "oracle_d")
-_BENCH_TABLE = {
-    "thm1": ("c", "thm1"),
-    "thm2": ("c", "thm2"),
-    "oracle_c": ("c", "oracle"),
-    "thm3": ("d", "thm3"),
-    "thm4": ("d", "thm4"),
-    "oracle_d": ("d", "oracle"),
+_ROUTES = {
+    "c": (jacobi_to_bernstein, dict(direct="c_direct", thm1="c_theorem1", thm2="c_theorem2", oracle="c_oracle")),
+    "d": (bernstein_to_jacobi, dict(direct="d_direct", thm3="d_theorem3", thm4="d_theorem4", oracle="d_oracle")),
 }
+
+_BENCH_TABLE = {"thm1": ("c", "thm1"), "thm2": ("c", "thm2"), "oracle_c": ("c", "oracle"),
+                "thm3": ("d", "thm3"), "thm4": ("d", "thm4"), "oracle_d": ("d", "oracle")}
+BENCH_METHODS = tuple(_BENCH_TABLE)
+
+_ATOL = 1e-12  # absolute part of the entrywise tolerances
+_ROUND_TRIP_TOL = 1e-8  # of max |DC - I| and max |CD - I|
+_ORTHO_TOL = 1e-10  # of an off-diagonal Gram entry, relative to the two norms
 
 
 def _builder(direction: str, method: str):
-    """Resolve a matrix builder; attribute lookup is late so test harnesses
-    can substitute builders on the transform modules."""
-    if direction == "c":
-        table, mod = _C_METHODS, jacobi_to_bernstein
-    elif direction == "d":
-        table, mod = _D_METHODS, bernstein_to_jacobi
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    """Resolve a matrix builder by module attribute, so test harnesses can
+    substitute builders on the transform modules."""
+    module, table = _ROUTES[direction]
     if method not in table:
         raise ValueError(f"method {method!r} is not valid for direction {direction!r} "
                          f"(choose from {', '.join(table)})")
-    name = table[method]
-    return lambda p: getattr(mod, name)(p)
+    return getattr(module, table[method])
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -90,7 +85,8 @@ def _require_finite(what: str, *arrays) -> None:
 
 def _cmd_matrix(args) -> int:
     p = TransformParams(args.n, args.k, args.l, args.alpha, args.beta)
-    mat = _builder(args.direction, args.method)(p)
+    method = {"c": "thm2", "d": "thm4"}[args.direction] if args.method is None else args.method
+    mat = _builder(args.direction, method)(p)
     _require_finite("matrix", mat.values)
     _atomic_write(args.out, matrix_csv(mat))
     return 0
@@ -191,8 +187,7 @@ def run_benchmark(n_values, k: int = 1, l: int = 1, strategy: str = "fixed",
         if method not in _BENCH_TABLE:
             raise ValueError(f"unknown benchmark method {method!r} "
                              f"(choose from {', '.join(BENCH_METHODS)})")
-        direction, name = _BENCH_TABLE[method]
-        build = _builder(direction, name)
+        build = _builder(*_BENCH_TABLE[method])
         for n in n_values:
             pairs = _exec_params(strategy, n, seed, reps, alpha, beta)
             plist = [TransformParams(n, k, l, al, be) for al, be in pairs]
@@ -241,103 +236,81 @@ def _cmd_bench(args) -> int:
 # check
 
 
-def _worst(excess: np.ndarray) -> tuple[int, int]:
-    """Position of the largest excess over tolerance; NaN counts as the
-    largest, so a NaN deviation is reported and fails."""
-    flat = int(np.argmax(np.where(np.isnan(excess), math.inf, excess)))
-    r, c = np.unravel_index(flat, excess.shape)
-    return int(r), int(c)
+def _labels(mat: ConnectionMatrix, r: int, c: int) -> dict:
+    """Mathematical indices of storage position (r, c) of ``mat``."""
+    return {mat.rows: mat.indices(mat.rows)[r], mat.cols: mat.indices(mat.cols)[c]}
 
 
-def _cross_check(name: str, mats: dict[str, np.ndarray], atol: float, rtol: float,
-                 row_name: str, row_start: int, col_name: str, col_start: int) -> dict:
-    names = list(mats)
-    worst = {"excess": -math.inf}
-    passed = True
-    for ia in range(len(names)):
-        for ib in range(ia + 1, len(names)):
-            A, B = mats[names[ia]], mats[names[ib]]
-            dev = np.abs(A - B)
-            tol = atol + rtol * np.maximum(np.abs(A), np.abs(B))
-            r, c = _worst(dev - tol)
-            excess = float(dev[r, c] - tol[r, c])
-            if math.isnan(excess):
-                excess = math.inf
-            if excess > 0:
-                passed = False
-            if excess > worst["excess"]:
-                worst = {
-                    "excess": excess,
-                    "deviation": float(dev[r, c]),
-                    "tolerance": float(tol[r, c]),
-                    row_name: int(row_start + r),
-                    col_name: int(col_start + c),
-                    "pair": [names[ia], names[ib]],
-                }
-    worst.pop("excess")
-    return {"name": name, "passed": passed,
-            "max_deviation": worst["deviation"], "tolerance": worst["tolerance"],
-            "worst": worst}
+def _entrywise(name: str, dev: np.ndarray, excess: np.ndarray, tol: np.ndarray, worst) -> dict:
+    """Report of an entrywise check: it passes when no excess over the
+    tolerance is positive and reports the entry of largest excess, NaN
+    counting as largest; ``worst`` maps that position to its labels."""
+    flat = np.argmax(np.where(np.isnan(excess), math.inf, excess))
+    at = tuple(int(v) for v in np.unravel_index(flat, excess.shape))
+    return {"name": name, "passed": bool(np.all(excess <= 0.0)),
+            "max_deviation": float(dev[at]), "tolerance": float(tol[at]), "worst": worst(*at)}
 
 
-def run_checks(p: TransformParams, atol: float = 1e-12, rtol: float = 1e-9,
-               roundtrip_tol: float = 1e-8, ortho_tol: float = 1e-10) -> dict:
+def _cross_check(name: str, mats: dict[str, ConnectionMatrix], rtol: float) -> dict:
+    """Entrywise agreement of every pair of routes for one matrix."""
+    pairs = list(itertools.combinations(mats, 2))
+    A = np.stack([mats[a].values for a, _ in pairs])
+    B = np.stack([mats[b].values for _, b in pairs])
+    dev = np.abs(A - B)
+    tol = _ATOL + rtol * np.maximum(np.abs(A), np.abs(B))
+
+    def worst(q, r, c):
+        return {"deviation": float(dev[q, r, c]), "tolerance": float(tol[q, r, c]),
+                **_labels(mats[pairs[q][0]], r, c), "pair": list(pairs[q])}
+    return _entrywise(name, dev, dev - tol, tol, worst)
+
+
+def run_checks(p: TransformParams, rtol: float = 1e-9) -> dict:
     """Cross-method, round-trip, bridge-factor and orthogonality checks for
-    one parameter set; returns a JSON-ready report.  A NaN deviation fails
-    its check."""
-    c_mats = {m: _builder("c", m)(p).values for m in _C_METHODS}
-    d_mats = {m: _builder("d", m)(p).values for m in _D_METHODS}
-    checks = [
-        _cross_check("cross_c", c_mats, atol, rtol, "i", p.k + p.l, "h", p.k),
-        _cross_check("cross_d", d_mats, atol, rtol, "h", p.k, "i", p.k + p.l),
-    ]
+    one parameter set.  A NaN deviation fails its check and stays NaN in
+    the report."""
+    if not (math.isfinite(rtol) and rtol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {rtol}")
+    mats = {d: {m: _builder(d, m)(p) for m in table} for d, (_, table) in _ROUTES.items()}
+    checks = [_cross_check(f"cross_{d}", mats[d], rtol) for d in _ROUTES]
 
-    C, D = c_mats["thm2"], d_mats["thm4"]
-    eye = np.eye(p.dim)
-    dev_dc = float(np.max(np.abs(D @ C - eye)))
-    dev_cd = float(np.max(np.abs(C @ D - eye)))
-    checks.append({"name": "round_trip", "passed": dev_dc <= roundtrip_tol and dev_cd <= roundtrip_tol,
-                   "max_deviation": float(np.max([dev_dc, dev_cd])), "tolerance": roundtrip_tol,
+    C, D = mats["c"]["thm2"].values, mats["d"]["thm4"].values
+    dev_dc = float(np.max(np.abs(D @ C - np.eye(p.dim))))
+    dev_cd = float(np.max(np.abs(C @ D - np.eye(p.dim))))
+    checks.append({"name": "round_trip", "passed": dev_dc <= _ROUND_TRIP_TOL and dev_cd <= _ROUND_TRIP_TOL,
+                   "max_deviation": float(np.max([dev_dc, dev_cd])), "tolerance": _ROUND_TRIP_TOL,
                    "worst": {"DC": dev_dc, "CD": dev_cd}})
 
     U = bernstein_to_jacobi.u_factors(p).values
     dev = np.abs(C - U * D.T)
-    tol = atol + rtol * np.abs(C)
-    r, c = _worst(dev - tol)
-    checks.append({"name": "proposition_bridge", "passed": bool(np.all(dev <= tol)),
-                   "max_deviation": float(dev[r, c]), "tolerance": float(tol[r, c]),
-                   "worst": {"i": p.k + p.l + r, "h": p.k + c}})
+    tol = _ATOL + rtol * np.abs(C)
+    checks.append(_entrywise("proposition_bridge", dev, dev - tol, tol,
+                             lambda r, c: _labels(mats["c"]["thm2"], r, c)))
 
-    M = C @ bernstein_gram(p) @ C.T
-    norms = np.sqrt(np.abs(np.diag(M)))
-    off = np.abs(M) - ortho_tol * np.outer(norms, norms)
+    M = np.abs(C @ bernstein_gram(p) @ C.T)
+    norms = np.sqrt(np.diag(M))
+    tol = _ORTHO_TOL * norms[:, None] * norms
+    off = M - tol
     np.fill_diagonal(off, -math.inf)
-    r, c = _worst(off)
-    checks.append({"name": "orthogonality", "passed": bool(np.all(off <= 0.0)),
-                   "max_deviation": float(np.abs(M[r, c])),
-                   "tolerance": float(ortho_tol * norms[r] * norms[c]),
-                   "worst": {"i": p.k + p.l + r, "j": p.k + p.l + c}})
+    checks.append(_entrywise("orthogonality", M, off, tol,
+                             lambda r, c: {"i": p.i_indices()[r], "j": p.i_indices()[c]}))
 
-    return {
-        "params": {"n": p.n, "k": p.k, "l": p.l, "alpha": p.alpha, "beta": p.beta},
-        "checks": checks,
-        "passed": all(ch["passed"] for ch in checks),
-    }
+    return {"params": {"n": p.n, "k": p.k, "l": p.l, "alpha": p.alpha, "beta": p.beta},
+            "checks": checks, "passed": all(ch["passed"] for ch in checks)}
 
 
 def _cmd_check(args) -> int:
     p = TransformParams(args.n, args.k, args.l, args.alpha, args.beta)
-    rtol = args.tolerance if args.tolerance is not None else 1e-9
-    report = run_checks(p, rtol=rtol)
-    print(json.dumps(report, indent=2))
-    if not report["passed"]:
-        for ch in report["checks"]:
-            if not ch["passed"]:
-                print(f"check failed: {ch['name']} worst={ch['worst']} "
-                      f"deviation={ch['max_deviation']:.3e} tolerance={ch['tolerance']:.3e}",
-                      file=sys.stderr)
-        return 1
-    return 0
+    report = run_checks(p, rtol=args.tolerance)
+    # strict JSON: a non-finite deviation is written as null
+    strict = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    print(json.dumps(strict, indent=2, allow_nan=False))
+    for ch in report["checks"]:
+        if not ch["passed"]:
+            print(f"check failed: {ch['name']} worst={ch['worst']} "
+                  f"deviation={ch['max_deviation']:.3e} tolerance={ch['tolerance']:.3e}",
+                  file=sys.stderr)
+    return 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run consistency checks for one parameter set")
     _add_param_flags(sp)
-    sp.add_argument("--tolerance", type=float, default=None,
-                    help="relative tolerance override for entrywise comparisons")
+    sp.add_argument("--tolerance", type=float, default=1e-9,
+                    help="relative tolerance of the entrywise comparisons (finite, >= 0)")
     sp.set_defaults(func=_cmd_check)
     return parser
 
@@ -400,10 +373,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "matrix":
-        default = {"c": "thm2", "d": "thm4"}[args.direction]
-        if args.method is None:
-            args.method = default
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -90,9 +90,10 @@ def forced_boundary(curve: BezierCurve, m: int, k: int, l: int) -> tuple[np.ndar
         work = pts[:count].copy()
         scale = 1.0
         for r in range(count):
+            if r:
+                scale *= (n - r + 1) / (m - r + 1)
             diffs.append(work[0] * scale)
             work = work[1:] - work[:-1]
-            scale *= (n - r) / (m - r)
         out = np.zeros((count, pts.shape[1]))
         for j in range(count):
             acc = np.zeros(pts.shape[1])
@@ -103,9 +104,7 @@ def forced_boundary(curve: BezierCurve, m: int, k: int, l: int) -> tuple[np.ndar
             out[j] = acc
         return out
 
-    head = head_points(curve.control_points, k) if k else np.zeros((0, curve.dimension))
-    tail = head_points(curve.control_points[::-1], l)[::-1] if l else np.zeros((0, curve.dimension))
-    return head, tail
+    return head_points(curve.control_points, k), head_points(curve.control_points[::-1], l)[::-1]
 
 
 def reduce(prob: ReductionProblem, _stub_free: np.ndarray | None = None) -> ReductionResult:
@@ -127,10 +126,8 @@ def reduce(prob: ReductionProblem, _stub_free: np.ndarray | None = None) -> Redu
 
     head, tail = forced_boundary(p, m, k, l)
     stub = np.zeros((m + 1, d))
-    if k:
-        stub[:k] = head
-    if l:
-        stub[m - l + 1:] = tail
+    stub[:k] = head
+    stub[m - l + 1:] = tail
     free = slice(k, m - l + 1)
     if _stub_free is not None:
         stub[free] = np.asarray(_stub_free, dtype=float).reshape(m - l - k + 1, d)

@@ -252,6 +252,8 @@ class TestCurveJson:
         {"degree": 1, "dimension": 1, "control_points": [[-math.inf], [1.0]]},
         {"degree": True, "dimension": 1, "control_points": [[0.0], [1.0]]},
         {"degree": 1, "dimension": True, "control_points": [[0.0], [1.0]]},
+        {"degree": 4, "dimension": 1, "control_points": 5},
+        {"degree": 1, "dimension": 1, "control_points": [{}, {}]},
     ])
     def test_invalid_objects(self, obj):
         with pytest.raises(ValueError):

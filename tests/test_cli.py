@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import assert_mixed_close
 
+import bernjac.bernstein_to_jacobi as b2j
 import bernjac.degree_reduction as dred
 import bernjac.jacobi_to_bernstein as j2b
 from bernjac.bases import TransformParams
@@ -18,6 +19,11 @@ from bernjac.jacobi_to_bernstein import c_oracle
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def reject_constant(token):
+    """``parse_constant`` hook: NaN and Infinity are not JSON."""
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def nan_builder(real):
@@ -258,13 +264,36 @@ class TestCheckCommand:
         assert "check failed" in captured.err
         failed = [ch for ch in report["checks"] if not ch["passed"]]
         assert any(ch["name"] == "cross_c" for ch in failed)
+        # values[-1, 0] is the entry (i, h) = (n, k)
+        worst = {ch["name"]: ch["worst"] for ch in report["checks"]}["cross_c"]
+        assert (worst["i"], worst["h"]) == (8, 1)
+        assert "thm2" in worst["pair"]
+
+    def test_corrupted_d_builder_fails(self, monkeypatch, capsys):
+        real = b2j.d_theorem4
+
+        def corrupted(p):
+            m = real(p)
+            values = m.values.copy()
+            values[-1, 0] += 1e-3 * (1.0 + abs(values[-1, 0]))
+            return dataclasses.replace(m, values=values)
+
+        monkeypatch.setattr(b2j, "d_theorem4", corrupted)
+        assert main(["check", "-n", "8", "-k", "1", "-l", "0"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        checks = {ch["name"]: ch for ch in report["checks"]}
+        assert checks["cross_d"]["passed"] is False
+        # values[-1, 0] is the entry (h, i) = (n - l, k + l)
+        worst = checks["cross_d"]["worst"]
+        assert (worst["h"], worst["i"]) == (8, 1)
+        assert "thm4" in worst["pair"]
 
     def test_nan_builder_fails_with_complete_report(self, monkeypatch, capsys):
         monkeypatch.setattr(j2b, "c_theorem2", nan_builder(j2b.c_theorem2))
         rc = main(["check", "-n", "6", "-k", "1", "-l", "1"])
         assert rc == 1
         captured = capsys.readouterr()
-        report = json.loads(captured.out)
+        report = json.loads(captured.out, parse_constant=reject_constant)
         assert report["passed"] is False
         checks = {ch["name"]: ch for ch in report["checks"]}
         assert set(checks) == {"cross_c", "cross_d", "round_trip", "proposition_bridge",
@@ -273,7 +302,7 @@ class TestCheckCommand:
             assert set(ch) == {"name", "passed", "max_deviation", "tolerance", "worst"}
         for name in ("cross_c", "round_trip", "proposition_bridge", "orthogonality"):
             assert checks[name]["passed"] is False
-            assert math.isnan(checks[name]["max_deviation"])
+            assert checks[name]["max_deviation"] is None
         assert checks["cross_d"]["passed"] is True
         assert "pair" in checks["cross_c"]["worst"]
         assert "check failed: cross_c" in captured.err
@@ -282,6 +311,13 @@ class TestCheckCommand:
     def test_non_finite_weight_is_usage_error(self, flag, capsys):
         assert main(["check", "-n", "5", flag]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tolerance=nan", "--tolerance=inf", "--tolerance=-1"])
+    def test_bad_tolerance_is_usage_error(self, flag, capsys):
+        assert main(["check", "-n", "5", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite" in captured.err
 
 
 def test_no_command_is_usage_error():

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from bernjac.bases import BezierCurve, TransformParams, bernstein_gram
+from bernjac.cli import main
 from bernjac.degree_reduction import ReductionProblem, elevate, forced_boundary, reduce
 from bernjac.jacobi_to_bernstein import c_theorem2
 
@@ -167,6 +169,34 @@ class TestReduceKnownCases:
         np.testing.assert_allclose(other.reduced.control_points,
                                    base.reduced.control_points, atol=1e-10)
         assert other.l2_error == pytest.approx(base.l2_error, rel=1e-10, abs=1e-12)
+
+
+class TestOneSidedMinimalTarget:
+    """m = k + l - 1 with k = 0 or l = 0: the constraints fix every control
+    point of the reduced curve, all on one side."""
+
+    @pytest.mark.parametrize("k,l", [(0, 2), (2, 0)])
+    def test_constraints_and_error(self, rng, k, l):
+        curve = BezierCurve(rng.normal(size=(6, 2)))
+        res = reduce(ReductionProblem(curve, 1, k, l, 0.5, -0.5))
+        r = res.reduced
+        x0 = 0.0 if k else 1.0
+        np.testing.assert_allclose(r.point(x0), curve.point(x0), atol=1e-12)
+
+        def end_slope(c):  # derivative at x0, up to a sign shared by both curves
+            pts = c.control_points if k else c.control_points[::-1]
+            return c.degree * (pts[1] - pts[0])
+        np.testing.assert_allclose(end_slope(r), end_slope(curve), atol=1e-12)
+        diff = curve.control_points - elevate(r, 5).control_points
+        assert res.l2_error == pytest.approx(gram_norm(diff, 0.5, -0.5), rel=1e-12)
+
+    def test_cli_exits_0(self, tmp_path):
+        src, out = tmp_path / "c.json", tmp_path / "r.json"
+        src.write_text(json.dumps({"degree": 5, "dimension": 1,
+                                   "control_points": [[0.0], [1.0], [-1.0], [2.0], [0.5], [1.0]]}))
+        assert main(["reduce", "--in", str(src), "-m", "1", "-k", "0", "-l", "2",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["reduced"]["degree"] == 1
 
 
 class TestReduceProperties:
