@@ -217,8 +217,8 @@ def eval_shifted_jacobi(i: int, alpha: float, beta: float, x: float) -> float:
     Evaluated by its terminating series in powers of (1-x); adequate for the
     moderate degrees this library targets.
     """
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError("shifted Jacobi parameters must satisfy alpha > -1 and beta > -1")
+    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+        raise ValueError("shifted Jacobi parameters must be finite with alpha > -1 and beta > -1")
     if i < 0:
         raise ValueError("shifted Jacobi degree must be nonnegative")
     pre = 1.0

@@ -192,54 +192,30 @@ def d_oracle(p: TransformParams) -> ConnectionMatrix:
     return ConnectionMatrix(p, np.array(cols).T, "h")
 
 
-def u_factors(p: TransformParams, by: str = "h") -> ConnectionMatrix:
+def u_factors(p: TransformParams) -> ConnectionMatrix:
     """Bridge factors u with c[i][h] = u[i][h] * d[h][i].
 
-    ``by="h"`` seeds the first row (i = k+l) and advances each column over i;
-    ``by="i"`` seeds the first column (h = k) and advances each row over h.
-    The two routes agree to rounding.
+    Seeds the first row (i = k+l) and advances each column over i.
     """
     n, k, l = p.n, p.k, p.l
     a, b, sig = p.alpha, p.beta, p.sigma
     m = n - k - l
     vals = np.empty((m + 1, m + 1))
     binom_n = _float_binomials(n)
-    if by == "h":
-        binom_m = _float_binomials(m)
-        for s in range(m + 1):
-            h = k + s
-            u = binom_m[s] / binom_n[h] ** 2 * _poch_ratio(
-                [(2.0 * k + 2.0 * l + sig + 1.0, m)],
-                [(a + 2.0 * l + 1.0, n - l - h), (b + 2.0 * k + 1.0, s)],
-            )
-            vals[0, s] = u
-            for r, i in enumerate(range(k + l + 1, n + 1), start=1):
-                if i == k + l + 1:
-                    u *= -(i + l + a - k) * (n + i + sig) * (i + k + b - l) / (
-                        (2.0 * i + sig) * (i - k - l) * (i - n - 1.0))
-                else:
-                    u *= -(i + l + a - k) * (2.0 * i + a + b - 1.0) * (n + i + sig) * (i + k + b - l) / (
-                        (2.0 * i + sig) * (i - k - l) * (i - n - 1.0) * (i + k + l + a + b))
-                vals[r, s] = u
-    elif by == "i":
-        for r, i in enumerate(range(k + l, n + 1)):
-            # the (2i+sigma) divisor cancels the leading pochhammer factor at i = k+l
-            if i == k + l:
-                top = [(i + k + l + sig + 1.0, m)]
-                div = 1.0
+    binom_m = _float_binomials(m)
+    for s in range(m + 1):
+        h = k + s
+        u = binom_m[s] / binom_n[h] ** 2 * _poch_ratio(
+            [(2.0 * k + 2.0 * l + sig + 1.0, m)],
+            [(a + 2.0 * l + 1.0, n - l - h), (b + 2.0 * k + 1.0, s)],
+        )
+        vals[0, s] = u
+        for r, i in enumerate(range(k + l + 1, n + 1), start=1):
+            if i == k + l + 1:
+                u *= -(i + l + a - k) * (n + i + sig) * (i + k + b - l) / (
+                    (2.0 * i + sig) * (i - k - l) * (i - n - 1.0))
             else:
-                top = [(i + k + l + sig, n + 1 - k - l)]
-                div = 2.0 * i + sig
-            sign = -1.0 if (i - k - l) & 1 else 1.0
-            u = sign / (binom_n[k] ** 2 * div) * _poch_ratio(
-                top + [(b + 2.0 * k + 1.0, i - k - l)],
-                [(1.0, i - k - l), (k + l - n, i - k - l), (a + l + i + 1.0 - k, n - i)],
-            )
-            vals[r, 0] = u
-            for s, h in enumerate(range(k + 1, n - l + 1), start=1):
-                u *= -h * h * (l + h - n - 1.0) * (n + l + a + 1.0 - h) / (
-                    (h - n - 1.0) ** 2 * (h - k) * (h + k + b))
-                vals[r, s] = u
-    else:
-        raise ValueError(f"route must be 'h' or 'i', got {by!r}")
+                u *= -(i + l + a - k) * (2.0 * i + a + b - 1.0) * (n + i + sig) * (i + k + b - l) / (
+                    (2.0 * i + sig) * (i - k - l) * (i - n - 1.0) * (i + k + l + a + b))
+            vals[r, s] = u
     return ConnectionMatrix(p, vals, "i")

@@ -170,18 +170,20 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
 
 def run_benchmark(n_values, k: int = 1, l: int = 1, strategy: str = "fixed",
                   alpha: float = 0.0, beta: float = 0.0, reps: int = 1,
-                  seed: int = 0, methods=BENCH_METHODS, warmup: int = 3) -> BenchReport:
+                  seed: int = 0, methods=BENCH_METHODS) -> BenchReport:
     """Time each builder over the requested degrees.
 
     Per (method, n) the monotonic clock wraps the matrix-build call only;
-    the given number of warm-up builds is discarded first.  All methods see
-    the same parameter sequence for a given seed.  Slopes are fitted per
-    method once at least five distinct degrees are present.
+    three warm-up builds are discarded first.  All methods see the same
+    parameter sequence for a given seed.  Slopes are fitted per method once
+    at least five distinct degrees are present.
     """
     if not n_values:
         raise ValueError("benchmark requires a nonempty list of degrees")
     if reps < 1:
         raise ValueError("benchmark repetitions must be >= 1")
+    if not methods or len(set(methods)) != len(methods):
+        raise ValueError(f"benchmark requires a nonempty list of distinct methods, got {list(methods)}")
     records = []
     for method in methods:
         if method not in _BENCH_TABLE:
@@ -191,7 +193,7 @@ def run_benchmark(n_values, k: int = 1, l: int = 1, strategy: str = "fixed",
         for n in n_values:
             pairs = _exec_params(strategy, n, seed, reps, alpha, beta)
             plist = [TransformParams(n, k, l, al, be) for al, be in pairs]
-            for j in range(warmup):
+            for j in range(3):
                 build(plist[j % len(plist)])
             total = 0.0
             for p in plist:

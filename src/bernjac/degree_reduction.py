@@ -107,7 +107,7 @@ def forced_boundary(curve: BezierCurve, m: int, k: int, l: int) -> tuple[np.ndar
     return head_points(curve.control_points, k), head_points(curve.control_points[::-1], l)[::-1]
 
 
-def reduce(prob: ReductionProblem, _stub_free: np.ndarray | None = None) -> ReductionResult:
+def reduce(prob: ReductionProblem) -> ReductionResult:
     """L2-optimal constrained degree reduction.
 
     Pipeline: build a feasible degree-m stub from the forced boundary points,
@@ -115,22 +115,15 @@ def reduce(prob: ReductionProblem, _stub_free: np.ndarray | None = None) -> Redu
     Jacobi basis, truncate to indices <= m, map the kept part back to the
     degree-m Bernstein basis, and add it into the stub's free slots.  The
     discarded components give the error exactly (Parseval).
-
-    ``_stub_free`` overrides the zero initial values of the free control
-    points; any feasible stub yields the same reduction.
     """
     p = prob.source
     n, m, k, l = p.degree, prob.target_degree, prob.k, prob.l
-    d = p.dimension
     pn = TransformParams(n, k, l, prob.alpha, prob.beta)
 
     head, tail = forced_boundary(p, m, k, l)
-    stub = np.zeros((m + 1, d))
+    stub = np.zeros((m + 1, p.dimension))
     stub[:k] = head
     stub[m - l + 1:] = tail
-    free = slice(k, m - l + 1)
-    if _stub_free is not None:
-        stub[free] = np.asarray(_stub_free, dtype=float).reshape(m - l - k + 1, d)
 
     residual = p.control_points - elevate(BezierCurve(stub), n).control_points
     # the residual satisfies the constraints, so its Bernstein coefficients
@@ -142,7 +135,7 @@ def reduce(prob: ReductionProblem, _stub_free: np.ndarray | None = None) -> Redu
     reduced_pts = stub.copy()
     if kept > 0:
         pm = TransformParams(m, k, l, prob.alpha, prob.beta)
-        reduced_pts[free] = stub[free] + c_theorem2(pm).values.T @ jac[:kept]
+        reduced_pts[k:m - l + 1] += c_theorem2(pm).values.T @ jac[:kept]
 
     discarded = np.zeros_like(jac)
     discarded[kept:] = jac[kept:]

@@ -20,8 +20,10 @@ def pochhammer(h: float, i: int) -> float:
     partial result exact up to one rounding per factor and never round-trips
     through the gamma function.
     """
-    if i < 0:
-        raise ValueError("pochhammer order must be a nonnegative integer")
+    if not -math.inf < h < math.inf:
+        raise ValueError(f"pochhammer base must be finite, got {h}")
+    if type(i) is not int or i < 0:
+        raise ValueError(f"pochhammer order must be a nonnegative integer, got {i!r}")
     out = 1.0
     for j in range(i):
         out *= h + j
@@ -29,29 +31,29 @@ def pochhammer(h: float, i: int) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """Natural logarithm of Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
+    """Natural logarithm of Gamma(x) for finite x > 0."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"log_gamma requires finite x > 0, got {x}")
     return math.lgamma(x)
 
 
 def gen_binomial(y: float, t: float) -> float:
     """Binomial coefficient generalized to real arguments via the gamma function.
 
-    Requires y+1 > 0, t+1 > 0 and y-t+1 > 0, which is the domain the
+    Requires finite y > -1, t > -1 and y-t+1 > 0, which is the domain the
     closed-form connection-coefficient formulas actually exercise.  Results
     beyond double range saturate to inf instead of raising.
     """
-    if y + 1.0 <= 0.0 or t + 1.0 <= 0.0 or y - t + 1.0 <= 0.0:
+    if not (-1.0 < y < math.inf and -1.0 < t < math.inf and y - t + 1.0 > 0.0):
         raise ValueError(f"gen_binomial arguments out of domain: y={y}, t={t}")
     v = math.lgamma(y + 1.0) - math.lgamma(t + 1.0) - math.lgamma(y - t + 1.0)
     return math.exp(v) if v < 709.0 else math.inf
 
 
 def beta_fn(a: float, b: float) -> float:
-    """Euler Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), for a, b > 0."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"beta_fn requires positive arguments, got ({a}, {b})")
+    """Euler Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), for finite a, b > 0."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"beta_fn requires finite positive arguments, got ({a}, {b})")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
@@ -64,9 +66,9 @@ class HahnParams:
     N: int
 
     def __post_init__(self):
-        if self.alpha <= -1.0 or self.beta <= -1.0:
-            raise ValueError("Hahn parameters require alpha > -1 and beta > -1")
-        if not isinstance(self.N, int) or self.N < 0:
+        if not (-1.0 < self.alpha < math.inf and -1.0 < self.beta < math.inf):
+            raise ValueError("Hahn parameters require finite alpha > -1 and beta > -1")
+        if type(self.N) is not int or self.N < 0:
             raise ValueError("Hahn parameter N must be a nonnegative integer")
 
 

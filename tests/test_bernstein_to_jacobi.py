@@ -81,29 +81,15 @@ class TestUFactors:
         u = u_factors(TransformParams(2, 1, 1))
         assert u.at(2, 1) == pytest.approx(0.25, rel=1e-14)
 
-    def test_corner_seed_consistency(self):
-        # the two seed formulas share the (i=k+l, h=k) corner
-        for n, k, l in [(4, 1, 1), (6, 2, 0), (5, 0, 2)]:
-            p = TransformParams(n, k, l, 0.5, -0.9)
-            uh = u_factors(p, by="h")
-            ui = u_factors(p, by="i")
-            assert uh.values[0, 0] == pytest.approx(ui.values[0, 0], rel=1e-13)
-
     @pytest.mark.parametrize("a", ALPHA_BETA)
     @pytest.mark.parametrize("b", ALPHA_BETA)
     def test_routes_agree_and_bridge_holds(self, a, b):
         for n, k, l in small_grid():
             p = TransformParams(n, k, l, a, b)
-            uh = u_factors(p, by="h").values
-            ui = u_factors(p, by="i").values
-            assert_mixed_close(uh, ui, label=f"u routes {p}")
+            uh = u_factors(p).values
             C = c_theorem2(p).values
             D = d_theorem4(p).values
             assert_mixed_close(C, uh * D.T, label=f"bridge {p}")
-
-    def test_unknown_route_rejected(self):
-        with pytest.raises(ValueError):
-            u_factors(TransformParams(3, 1, 1), by="x")
 
 
 def test_rows_reproduce_bernstein_values():

@@ -212,10 +212,17 @@ class TestBenchCommand:
                    str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("methods", ["", " , ", "thm2,thm2"])
+    def test_empty_or_repeated_methods_rejected(self, tmp_path, methods):
+        out = tmp_path / "x.csv"
+        rc = main(["bench", "--n-list", "5", "--methods", methods, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_run_benchmark_slopes_need_five_degrees(self):
-        rep = run_benchmark([5, 6, 7, 8], methods=("thm2",), reps=1, warmup=1)
+        rep = run_benchmark([5, 6, 7, 8], methods=("thm2",), reps=1)
         assert rep.slopes == {}
-        rep = run_benchmark([5, 6, 7, 8, 9], methods=("thm2",), reps=1, warmup=1)
+        rep = run_benchmark([5, 6, 7, 8, 9], methods=("thm2",), reps=1)
         assert "thm2" in rep.slopes
 
     def test_grid_strategy_runs(self, tmp_path):

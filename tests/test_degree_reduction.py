@@ -161,15 +161,6 @@ class TestReduceKnownCases:
             np.testing.assert_allclose(res.reduced.control_points, ref.control_points,
                                        atol=1e-9, rtol=1e-9)
 
-    def test_feasible_stub_is_immaterial(self, rng):
-        curve = BezierCurve(rng.normal(size=(8, 2)))
-        prob = ReductionProblem(curve, 5, 1, 2, 0.5, -0.5)
-        base = reduce(prob)
-        other = reduce(prob, _stub_free=rng.normal(size=(3, 2)))
-        np.testing.assert_allclose(other.reduced.control_points,
-                                   base.reduced.control_points, atol=1e-10)
-        assert other.l2_error == pytest.approx(base.l2_error, rel=1e-10, abs=1e-12)
-
 
 class TestOneSidedMinimalTarget:
     """m = k + l - 1 with k = 0 or l = 0: the constraints fix every control

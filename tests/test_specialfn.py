@@ -126,6 +126,29 @@ class TestHahnParams:
             HahnParams(0.0, 0.0, -1)
 
 
+NAN, INF = math.nan, math.inf
+REJECTED = [
+    (HahnParams, (NAN, 0.0, 3)),
+    (HahnParams, (0.0, INF, 3)),
+    (HahnParams, (0.0, 0.0, True)),
+    (gen_binomial, (NAN, 1.0)),
+    (gen_binomial, (INF, 1.0)),
+    (gen_binomial, (2.0, NAN)),
+    (beta_fn, (INF, 1.0)),
+    (beta_fn, (1.0, NAN)),
+    (pochhammer, (1.0, True)),
+    (pochhammer, (NAN, 2)),
+    (log_gamma, (NAN,)),
+    (log_gamma, (INF,)),
+]
+
+
+@pytest.mark.parametrize("fn,args", REJECTED, ids=[f"{fn.__name__}{args}" for fn, args in REJECTED])
+def test_non_finite_and_bool_inputs_rejected(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 class TestHahnEval:
     def test_degree_zero(self):
         p = HahnParams(0.3, -0.2, 5)
