@@ -43,6 +43,8 @@ class TransformParams:
         if self.k + self.l > self.n:
             raise ValueError(f"constraint orders must satisfy k + l <= n, got k={self.k}, l={self.l}, n={self.n}")
         a, b = self.alpha, self.beta
+        if isinstance(a, bool) or isinstance(b, bool):
+            raise ValueError(f"weight exponents must be numbers, not bool, got alpha={a!r}, beta={b!r}")
         if not (math.isfinite(a) and math.isfinite(b)) or a <= -1.0 or b <= -1.0:
             raise ValueError(f"weight exponents must be finite with alpha > -1 and beta > -1, got alpha={a}, beta={b}")
 
@@ -262,18 +264,6 @@ def bernstein_gram(p: TransformParams) -> np.ndarray:
     return G
 
 
-def inner_product(f: BernsteinPoly, g: BernsteinPoly) -> float:
-    """Weighted L2 inner product of two expansions sharing one parameter set.
-
-    Vector-valued coefficients are contracted componentwise and summed, i.e.
-    the usual inner product of curves.
-    """
-    if f.params != g.params:
-        raise ValueError("inner_product requires operands with identical parameters")
-    G = bernstein_gram(f.params)
-    return float(np.sum(f.coeffs * (G @ g.coeffs)))
-
-
 def curve_to_json(curve: BezierCurve) -> dict:
     """Plain-dict form of a curve: degree, dimension, control_points."""
     return {
@@ -303,6 +293,8 @@ def curve_from_json(obj: dict) -> BezierCurve:
         raise ValueError(f"control points must be a list of rows of numbers ({exc})") from exc
     if arr.ndim != 2 or arr.shape[1] != dimension:
         raise ValueError("control points must be rows of 'dimension' numbers each")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for row in pts for v in row):
+        raise ValueError("control points must be numbers, not booleans or strings")
     if not np.all(np.isfinite(arr)):
         raise ValueError("control points must be finite numbers")
     return BezierCurve(arr)

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import os
-import random
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -132,8 +131,8 @@ class BenchRecord:
     n: int
     k: int
     l: int
-    alpha: float | None  # None when the strategy varies the exponents
-    beta: float | None
+    alpha: float
+    beta: float
     repetitions: int
     total_seconds: float
 
@@ -144,23 +143,6 @@ class BenchReport:
     slopes: dict[str, float]
 
 
-def _grid_pairs() -> list[tuple[float, float]]:
-    # alpha = -0.9, -0.8, ..., 9 paired with beta = 0.3, 0.4, ..., 10.2
-    return [(round(-0.9 + 0.1 * j, 10), round(0.3 + 0.1 * j, 10)) for j in range(100)]
-
-
-def _exec_params(strategy: str, n: int, seed: int, reps: int,
-                 alpha: float, beta: float) -> list[tuple[float, float]]:
-    if strategy == "fixed":
-        return [(alpha, beta)] * reps
-    if strategy == "random_box":
-        rng = random.Random(f"{seed}:{n}")
-        return [(rng.uniform(-0.99, 1.01), rng.uniform(-0.99, 1.01)) for _ in range(reps)]
-    if strategy == "grid":
-        return _grid_pairs() * reps
-    raise ValueError(f"unknown parameter strategy {strategy!r}")
-
-
 def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of log(y) against log(x)."""
     x = np.log([q[0] for q in points])
@@ -168,18 +150,16 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def run_benchmark(n_values, k: int = 1, l: int = 1, strategy: str = "fixed",
-                  alpha: float = 0.0, beta: float = 0.0, reps: int = 1,
-                  seed: int = 0, methods=BENCH_METHODS) -> BenchReport:
-    """Time each builder over the requested degrees.
+def run_benchmark(n_values, k: int = 1, l: int = 1, alpha: float = 0.0, beta: float = 0.0,
+                  reps: int = 1, methods=BENCH_METHODS) -> BenchReport:
+    """Time each builder over the requested degrees at fixed (k, l, alpha, beta).
 
     Per (method, n) the monotonic clock wraps the matrix-build call only;
-    three warm-up builds are discarded first.  All methods see the same
-    parameter sequence for a given seed.  Slopes are fitted per method once
-    at least five distinct degrees are present.
+    three warm-up builds are discarded first.  Slopes are fitted per method
+    once at least five degrees are present.
     """
-    if not n_values:
-        raise ValueError("benchmark requires a nonempty list of degrees")
+    if not n_values or len(set(n_values)) != len(n_values):
+        raise ValueError(f"benchmark requires a nonempty list of distinct degrees, got {list(n_values)}")
     if reps < 1:
         raise ValueError("benchmark repetitions must be >= 1")
     if not methods or len(set(methods)) != len(methods):
@@ -191,21 +171,19 @@ def run_benchmark(n_values, k: int = 1, l: int = 1, strategy: str = "fixed",
                              f"(choose from {', '.join(BENCH_METHODS)})")
         build = _builder(*_BENCH_TABLE[method])
         for n in n_values:
-            pairs = _exec_params(strategy, n, seed, reps, alpha, beta)
-            plist = [TransformParams(n, k, l, al, be) for al, be in pairs]
-            for j in range(3):
-                build(plist[j % len(plist)])
+            p = TransformParams(n, k, l, alpha, beta)
+            for _ in range(3):
+                build(p)
             total = 0.0
-            for p in plist:
+            for _ in range(reps):
                 t0 = perf_counter()
                 build(p)
                 total += perf_counter() - t0
-            rec_ab = (alpha, beta) if strategy == "fixed" else (None, None)
-            records.append(BenchRecord(method, n, k, l, rec_ab[0], rec_ab[1], len(plist), total))
+            records.append(BenchRecord(method, n, k, l, alpha, beta, reps, total))
     slopes = {}
     for method in methods:
         pts = [(r.n, r.total_seconds) for r in records if r.method == method]
-        if len({q[0] for q in pts}) >= 5:
+        if len(pts) >= 5:
             slopes[method] = fit_loglog_slope(pts)
     return BenchReport(records, slopes)
 
@@ -213,9 +191,8 @@ def run_benchmark(n_values, k: int = 1, l: int = 1, strategy: str = "fixed",
 def bench_csv(report: BenchReport) -> str:
     lines = ["kind,method,n,k,l,alpha,beta,repetitions,total_seconds,slope"]
     for r in report.records:
-        a = "" if r.alpha is None else repr(r.alpha)
-        b = "" if r.beta is None else repr(r.beta)
-        lines.append(f"timing,{r.method},{r.n},{r.k},{r.l},{a},{b},{r.repetitions},{repr(r.total_seconds)},")
+        lines.append(f"timing,{r.method},{r.n},{r.k},{r.l},{r.alpha!r},{r.beta!r},{r.repetitions},"
+                     f"{r.total_seconds!r},")
     for method, slope in report.slopes.items():
         lines.append(f"slope,{method},,,,,,,,{repr(slope)}")
     return "\n".join(lines) + "\n"
@@ -225,9 +202,8 @@ def _cmd_bench(args) -> int:
     n_values = [int(v) for v in args.n_list.split(",") if v.strip()]
     methods = BENCH_METHODS if args.methods is None else tuple(
         m.strip() for m in args.methods.split(",") if m.strip())
-    report = run_benchmark(n_values, k=args.k, l=args.l, strategy=args.strategy,
-                           alpha=args.alpha, beta=args.beta, reps=args.reps,
-                           seed=args.seed, methods=methods)
+    report = run_benchmark(n_values, k=args.k, l=args.l, alpha=args.alpha, beta=args.beta,
+                           reps=args.reps, methods=methods)
     _atomic_write(args.out, bench_csv(report))
     for method, slope in report.slopes.items():
         print(f"{method} slope {slope:.3f}")
@@ -352,9 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="time the matrix builders and fit complexity slopes")
     sp.add_argument("--n-list", required=True, help="comma-separated degrees, e.g. 5,6,7")
-    sp.add_argument("--strategy", choices=("fixed", "random_box", "grid"), default="fixed")
     sp.add_argument("--reps", type=int, default=1, help="timed builds per (method, n)")
-    sp.add_argument("--seed", type=int, default=0, help="seed for the random_box strategy")
     sp.add_argument("--methods", default=None,
                     help=f"comma-separated subset of {','.join(BENCH_METHODS)}")
     _add_param_flags(sp, with_n=False)

@@ -114,11 +114,15 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     elevate it to degree n, expand the residual in the orthogonal modified
     Jacobi basis, truncate to indices <= m, map the kept part back to the
     degree-m Bernstein basis, and add it into the stub's free slots.  The
-    discarded components give the error exactly (Parseval).
+    discarded components give the error exactly (Parseval).  At m = n the
+    source is returned unchanged with error 0 and nothing is built.
     """
     p = prob.source
     n, m, k, l = p.degree, prob.target_degree, prob.k, prob.l
     pn = TransformParams(n, k, l, prob.alpha, prob.beta)
+    if m == n:
+        return ReductionResult(BezierCurve(p.control_points.copy()), 0.0,
+                               ModJacobiCoeffs(pn, np.zeros((pn.dim, p.dimension))))
 
     head, tail = forced_boundary(p, m, k, l)
     stub = np.zeros((m + 1, p.dimension))

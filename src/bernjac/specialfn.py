@@ -1,10 +1,10 @@
 """Scalar special-function kernel.
 
-Rising factorials, log-gamma, generalized binomial coefficients, the Beta
-function, and Hahn / dual Hahn polynomial evaluation.  The recurrence-based
-matrix builders in the transform modules never touch the gamma function;
-everything gamma-flavoured here exists for the cubic-cost reference formulas
-and the exact Gram-matrix oracle.
+Rising factorials, generalized binomial coefficients, the Beta function,
+and Hahn / dual Hahn polynomial evaluation.  The recurrence-based matrix
+builders in the transform modules never touch the gamma function;
+everything gamma-flavoured here exists for the cubic-cost reference
+formulas and the exact Gram-matrix oracle.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ def pochhammer(h: float, i: int) -> float:
     for j in range(i):
         out *= h + j
     return out
-
-
-def log_gamma(x: float) -> float:
-    """Natural logarithm of Gamma(x) for finite x > 0."""
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"log_gamma requires finite x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def gen_binomial(y: float, t: float) -> float:

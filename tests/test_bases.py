@@ -15,7 +15,6 @@ from bernjac.bases import (
     eval_bernstein,
     eval_mod_jacobi,
     eval_shifted_jacobi,
-    inner_product,
 )
 from bernjac.jacobi_to_bernstein import c_theorem2
 
@@ -155,31 +154,6 @@ class TestBernsteinGram:
         np.linalg.cholesky(G)  # raises if any pivot fails
 
 
-class TestInnerProduct:
-    def test_constant(self):
-        p = BernsteinPoly(TransformParams(0, 0, 0), [1.0])
-        assert inner_product(p, p) == pytest.approx(1.0, rel=1e-14)
-
-    def test_linear_basis_products(self):
-        tp = TransformParams(1, 0, 0)
-        b0 = BernsteinPoly(tp, [1.0, 0.0])
-        b1 = BernsteinPoly(tp, [0.0, 1.0])
-        assert inner_product(b0, b0) == pytest.approx(1 / 3, rel=1e-14)
-        assert inner_product(b0, b1) == pytest.approx(1 / 6, rel=1e-14)
-
-    def test_mismatched_params(self):
-        f = BernsteinPoly(TransformParams(2, 0, 0), [1.0, 0.0, 0.0])
-        g = BernsteinPoly(TransformParams(2, 1, 1), [1.0])
-        with pytest.raises(ValueError):
-            inner_product(f, g)
-
-    def test_vector_valued_sums_components(self):
-        tp = TransformParams(1, 0, 0)
-        f = BernsteinPoly(tp, [[1.0, 0.0], [0.0, 1.0]])
-        # <B_0,B_0> + <B_1,B_1> = 1/3 + 1/3
-        assert inner_product(f, f) == pytest.approx(2.0 / 3.0, rel=1e-14)
-
-
 class TestEndpointVanishing:
     # Derivatives of orders < k at 0 and < l at 1 vanish identically.  With
     # the pinned step 1e-4, the first-derivative central difference carries
@@ -259,6 +233,8 @@ class TestCurveJson:
         {"degree": 1, "dimension": True, "control_points": [[0.0], [1.0]]},
         {"degree": 4, "dimension": 1, "control_points": 5},
         {"degree": 1, "dimension": 1, "control_points": [{}, {}]},
+        {"degree": 1, "dimension": 1, "control_points": [[True], [0]]},
+        {"degree": 1, "dimension": 1, "control_points": [["1"], [0]]},
     ])
     def test_invalid_objects(self, obj):
         with pytest.raises(ValueError):

@@ -197,25 +197,17 @@ class TestBenchCommand:
         assert all(float(r[8]) > 0.0 for r in timing)
         assert not any(r[0] == "slope" for r in rows[1:])
 
-    def test_seeded_random_box_is_deterministic(self, tmp_path):
-        args = ["bench", "--n-list", "5,6", "--strategy", "random_box", "--reps", "2",
-                "--seed", "42", "--methods", "thm2,thm4"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        rows_a, rows_b = read_csv(a), read_csv(b)
-        strip = lambda rows: [[c for i, c in enumerate(r) if i not in (8, 9)] for r in rows]
-        assert strip(rows_a) == strip(rows_b)
-
     def test_bad_method_rejected(self, tmp_path):
         rc = main(["bench", "--n-list", "5", "--methods", "warp", "--out",
                    str(tmp_path / "x.csv")])
         assert rc == 2
 
-    @pytest.mark.parametrize("methods", ["", " , ", "thm2,thm2"])
-    def test_empty_or_repeated_methods_rejected(self, tmp_path, methods):
+    @pytest.mark.parametrize("n_list,methods", [
+        ("5", ""), ("5", " , "), ("5", "thm2,thm2"), ("5,5", "thm2"), ("5,6,5", "thm2"),
+    ], ids=["", " , ", "thm2,thm2", "n-list=5,5", "n-list=5,6,5"])
+    def test_empty_or_repeated_methods_rejected(self, tmp_path, n_list, methods):
         out = tmp_path / "x.csv"
-        rc = main(["bench", "--n-list", "5", "--methods", methods, "--out", str(out)])
+        rc = main(["bench", "--n-list", n_list, "--methods", methods, "--out", str(out)])
         assert rc == 2
         assert not out.exists()
 
@@ -224,15 +216,6 @@ class TestBenchCommand:
         assert rep.slopes == {}
         rep = run_benchmark([5, 6, 7, 8, 9], methods=("thm2",), reps=1)
         assert "thm2" in rep.slopes
-
-    def test_grid_strategy_runs(self, tmp_path):
-        out = tmp_path / "g.csv"
-        rc = main(["bench", "--n-list", "5", "--strategy", "grid", "--methods", "thm2",
-                   "--out", str(out)])
-        assert rc == 0
-        rows = read_csv(out)
-        assert rows[1][7] == "100"  # one pass over the 100 grid pairs
-        assert rows[1][5] == "" and rows[1][6] == ""
 
 
 class TestCheckCommand:

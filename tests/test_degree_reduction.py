@@ -134,10 +134,13 @@ class TestReduceKnownCases:
         np.testing.assert_allclose(res.discarded.coeffs[:, 0], [2.0], rtol=1e-13)
 
     def test_same_degree_is_identity(self, rng):
-        pts = rng.normal(size=(5, 3))
-        res = reduce(ReductionProblem(BezierCurve(pts), 4, 1, 1))
-        assert res.l2_error == 0.0
-        np.testing.assert_allclose(res.reduced.control_points, pts, atol=1e-12)
+        # (12, 12, 0) forces every control point: k + l = n
+        for n, k, l in [(4, 1, 1), (12, 12, 0)]:
+            pts = rng.normal(size=(n + 1, 3))
+            res = reduce(ReductionProblem(BezierCurve(pts), n, k, l, 0.5, -0.5))
+            assert res.l2_error == 0.0
+            assert np.array_equal(res.reduced.control_points, pts)
+            assert np.array_equal(res.discarded.coeffs, np.zeros((n - k - l + 1, 3)))
 
     def test_cubic_example_matches_ls_oracle(self):
         c = BezierCurve(np.array([0.0, 1.0, -1.0, 0.0]))

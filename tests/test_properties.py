@@ -26,7 +26,8 @@ from bernjac.jacobi_to_bernstein import c_theorem2
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
 weights = st.floats(-0.9, 3.7)
-bad_weights = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(max_value=-1.0))
+bad_weights = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(max_value=-1.0),
+                        st.booleans())
 non_int_counts = st.one_of(st.booleans(), st.floats(0.0, 12.0))
 
 
@@ -40,11 +41,11 @@ def params(draw):
 
 @st.composite
 def problems(draw):
-    """A genuine reduction, m < n, with every feasible k, l and m."""
+    """A reduction problem, m <= n, with every feasible k, l and m."""
     n = draw(st.integers(1, 12))
     k = draw(st.integers(0, n))
     l = draw(st.integers(0, n - k))
-    m = draw(st.integers(max(k + l - 1, 0), n - 1))
+    m = draw(st.integers(max(k + l - 1, 0), n))
     d = draw(st.integers(1, 3))
     points = draw(arrays(np.float64, (n + 1, d), elements=st.floats(-1.0, 1.0)))
     return ReductionProblem(BezierCurve(points), m, k, l, draw(weights), draw(weights))

@@ -11,24 +11,10 @@ from bernjac.specialfn import (
     gen_binomial,
     hahn_eval,
     hahn_recurrence_step,
-    log_gamma,
     pochhammer,
 )
 
 # frozen 40-digit references (mpmath, dps=40)
-LGAMMA_TABLE = [
-    (0.5, 0.5723649429247000871),
-    (1.0, 0.0),
-    (1.5, -0.1207822376352452223),
-    (2.0, 0.0),
-    (3.7, 1.428072326665387922),
-    (5.0, 3.17805383034794562),
-    (10.25, 13.3680236714760463),
-    (47.5, 134.8749893121619496),
-    (100.0, 359.1342053695753988),
-    (1234.5, 7550.550901077894896),
-    (10000.0, 82099.71749644237727),
-]
 GEN_BINOMIAL_2P5_1P25 = 2.588892485704220912
 BETA_1P5_2P5 = 0.1963495408493620774
 
@@ -52,26 +38,6 @@ class TestPochhammer:
         # left-to-right evaluation makes this an identity in floating point
         for i in range(0, 12):
             assert pochhammer(h, i + 1) == pochhammer(h, i) * (h + i)
-
-
-class TestLogGamma:
-    def test_gamma_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_gamma_five(self):
-        assert math.isclose(log_gamma(5.0), math.log(24.0), rel_tol=1e-14)
-
-    @pytest.mark.parametrize("x,expected", LGAMMA_TABLE)
-    def test_reference_table(self, x, expected):
-        if expected == 0.0:
-            assert abs(log_gamma(x)) < 1e-15
-        else:
-            assert math.isclose(log_gamma(x), expected, rel_tol=1e-13)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain(self, x):
-        with pytest.raises(ValueError):
-            log_gamma(x)
 
 
 class TestGenBinomial:
@@ -138,8 +104,6 @@ REJECTED = [
     (beta_fn, (1.0, NAN)),
     (pochhammer, (1.0, True)),
     (pochhammer, (NAN, 2)),
-    (log_gamma, (NAN,)),
-    (log_gamma, (INF,)),
 ]
 
 
