@@ -13,6 +13,7 @@ never leak.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,8 @@ class TransformParams:
         a, b = self.alpha, self.beta
         if isinstance(a, bool) or isinstance(b, bool):
             raise ValueError(f"weight exponents must be numbers, not bool, got alpha={a!r}, beta={b!r}")
-        if not (math.isfinite(a) and math.isfinite(b)) or a <= -1.0 or b <= -1.0:
+        # exact comparisons: an int beyond double range fails them instead of overflowing
+        if not (-1.0 < a <= sys.float_info.max and -1.0 < b <= sys.float_info.max):
             raise ValueError(f"weight exponents must be finite with alpha > -1 and beta > -1, got alpha={a}, beta={b}")
 
     @property
@@ -289,7 +291,7 @@ def curve_from_json(obj: dict) -> BezierCurve:
         if len(pts) != degree + 1:
             raise ValueError(f"expected {degree + 1} control points, got {len(pts)}")
         arr = np.asarray(pts, dtype=float)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"control points must be a list of rows of numbers ({exc})") from exc
     if arr.ndim != 2 or arr.shape[1] != dimension:
         raise ValueError("control points must be rows of 'dimension' numbers each")

@@ -32,8 +32,10 @@ _ROUTES = {
 _BENCH_TABLE = {"thm1": ("c", "thm1"), "thm2": ("c", "thm2"), "oracle_c": ("c", "oracle"),
                 "thm3": ("d", "thm3"), "thm4": ("d", "thm4"), "oracle_d": ("d", "oracle")}
 BENCH_METHODS = tuple(_BENCH_TABLE)
+_PRODUCTION = {"c": "thm2", "d": "thm4"}  # the route `matrix` writes and `check` round-trips
 
 _ATOL = 1e-12  # absolute part of the entrywise tolerances
+_RTOL = 1e-9  # relative part of the entrywise tolerances
 _ROUND_TRIP_TOL = 1e-8  # of max |DC - I| and max |CD - I|
 _ORTHO_TOL = 1e-10  # of an off-diagonal Gram entry, relative to the two norms
 
@@ -42,9 +44,6 @@ def _builder(direction: str, method: str):
     """Resolve a matrix builder by module attribute, so test harnesses can
     substitute builders on the transform modules."""
     module, table = _ROUTES[direction]
-    if method not in table:
-        raise ValueError(f"method {method!r} is not valid for direction {direction!r} "
-                         f"(choose from {', '.join(table)})")
     return getattr(module, table[method])
 
 
@@ -84,8 +83,7 @@ def _require_finite(what: str, *arrays) -> None:
 
 def _cmd_matrix(args) -> int:
     p = TransformParams(args.n, args.k, args.l, args.alpha, args.beta)
-    method = {"c": "thm2", "d": "thm4"}[args.direction] if args.method is None else args.method
-    mat = _builder(args.direction, method)(p)
+    mat = _builder(args.direction, _PRODUCTION[args.direction])(p)
     _require_finite("matrix", mat.values)
     _atomic_write(args.out, matrix_csv(mat))
     return 0
@@ -151,24 +149,19 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
 
 
 def run_benchmark(n_values, k: int = 1, l: int = 1, alpha: float = 0.0, beta: float = 0.0,
-                  reps: int = 1, methods=BENCH_METHODS) -> BenchReport:
-    """Time each builder over the requested degrees at fixed (k, l, alpha, beta).
+                  reps: int = 1) -> BenchReport:
+    """Time every builder over the requested degrees at fixed (k, l, alpha, beta).
 
     Per (method, n) the monotonic clock wraps the matrix-build call only;
     three warm-up builds are discarded first.  Slopes are fitted per method
     once at least five degrees are present.
     """
-    if not n_values or len(set(n_values)) != len(n_values):
-        raise ValueError(f"benchmark requires a nonempty list of distinct degrees, got {list(n_values)}")
+    if not n_values or len(set(n_values)) != len(n_values) or min(n_values) < 1:
+        raise ValueError(f"benchmark requires a nonempty list of distinct degrees >= 1, got {list(n_values)}")
     if reps < 1:
         raise ValueError("benchmark repetitions must be >= 1")
-    if not methods or len(set(methods)) != len(methods):
-        raise ValueError(f"benchmark requires a nonempty list of distinct methods, got {list(methods)}")
     records = []
-    for method in methods:
-        if method not in _BENCH_TABLE:
-            raise ValueError(f"unknown benchmark method {method!r} "
-                             f"(choose from {', '.join(BENCH_METHODS)})")
+    for method in BENCH_METHODS:
         build = _builder(*_BENCH_TABLE[method])
         for n in n_values:
             p = TransformParams(n, k, l, alpha, beta)
@@ -181,7 +174,7 @@ def run_benchmark(n_values, k: int = 1, l: int = 1, alpha: float = 0.0, beta: fl
                 total += perf_counter() - t0
             records.append(BenchRecord(method, n, k, l, alpha, beta, reps, total))
     slopes = {}
-    for method in methods:
+    for method in BENCH_METHODS:
         pts = [(r.n, r.total_seconds) for r in records if r.method == method]
         if len(pts) >= 5:
             slopes[method] = fit_loglog_slope(pts)
@@ -200,10 +193,7 @@ def bench_csv(report: BenchReport) -> str:
 
 def _cmd_bench(args) -> int:
     n_values = [int(v) for v in args.n_list.split(",") if v.strip()]
-    methods = BENCH_METHODS if args.methods is None else tuple(
-        m.strip() for m in args.methods.split(",") if m.strip())
-    report = run_benchmark(n_values, k=args.k, l=args.l, alpha=args.alpha, beta=args.beta,
-                           reps=args.reps, methods=methods)
+    report = run_benchmark(n_values, k=args.k, l=args.l, alpha=args.alpha, beta=args.beta, reps=args.reps)
     _atomic_write(args.out, bench_csv(report))
     for method, slope in report.slopes.items():
         print(f"{method} slope {slope:.3f}")
@@ -229,13 +219,13 @@ def _entrywise(name: str, dev: np.ndarray, excess: np.ndarray, tol: np.ndarray, 
             "max_deviation": float(dev[at]), "tolerance": float(tol[at]), "worst": worst(*at)}
 
 
-def _cross_check(name: str, mats: dict[str, ConnectionMatrix], rtol: float) -> dict:
+def _cross_check(name: str, mats: dict[str, ConnectionMatrix]) -> dict:
     """Entrywise agreement of every pair of routes for one matrix."""
     pairs = list(itertools.combinations(mats, 2))
     A = np.stack([mats[a].values for a, _ in pairs])
     B = np.stack([mats[b].values for _, b in pairs])
     dev = np.abs(A - B)
-    tol = _ATOL + rtol * np.maximum(np.abs(A), np.abs(B))
+    tol = _ATOL + _RTOL * np.maximum(np.abs(A), np.abs(B))
 
     def worst(q, r, c):
         return {"deviation": float(dev[q, r, c]), "tolerance": float(tol[q, r, c]),
@@ -243,16 +233,14 @@ def _cross_check(name: str, mats: dict[str, ConnectionMatrix], rtol: float) -> d
     return _entrywise(name, dev, dev - tol, tol, worst)
 
 
-def run_checks(p: TransformParams, rtol: float = 1e-9) -> dict:
+def run_checks(p: TransformParams) -> dict:
     """Cross-method, round-trip, bridge-factor and orthogonality checks for
     one parameter set.  A NaN deviation fails its check and stays NaN in
     the report."""
-    if not (math.isfinite(rtol) and rtol >= 0.0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {rtol}")
     mats = {d: {m: _builder(d, m)(p) for m in table} for d, (_, table) in _ROUTES.items()}
-    checks = [_cross_check(f"cross_{d}", mats[d], rtol) for d in _ROUTES]
+    checks = [_cross_check(f"cross_{d}", mats[d]) for d in _ROUTES]
 
-    C, D = mats["c"]["thm2"].values, mats["d"]["thm4"].values
+    C, D = mats["c"][_PRODUCTION["c"]].values, mats["d"][_PRODUCTION["d"]].values
     dev_dc = float(np.max(np.abs(D @ C - np.eye(p.dim))))
     dev_cd = float(np.max(np.abs(C @ D - np.eye(p.dim))))
     checks.append({"name": "round_trip", "passed": dev_dc <= _ROUND_TRIP_TOL and dev_cd <= _ROUND_TRIP_TOL,
@@ -261,9 +249,9 @@ def run_checks(p: TransformParams, rtol: float = 1e-9) -> dict:
 
     U = bernstein_to_jacobi.u_factors(p).values
     dev = np.abs(C - U * D.T)
-    tol = _ATOL + rtol * np.abs(C)
+    tol = _ATOL + _RTOL * np.abs(C)
     checks.append(_entrywise("proposition_bridge", dev, dev - tol, tol,
-                             lambda r, c: _labels(mats["c"]["thm2"], r, c)))
+                             lambda r, c: _labels(mats["c"][_PRODUCTION["c"]], r, c)))
 
     M = np.abs(C @ bernstein_gram(p) @ C.T)
     norms = np.sqrt(np.diag(M))
@@ -279,7 +267,7 @@ def run_checks(p: TransformParams, rtol: float = 1e-9) -> dict:
 
 def _cmd_check(args) -> int:
     p = TransformParams(args.n, args.k, args.l, args.alpha, args.beta)
-    report = run_checks(p, rtol=args.tolerance)
+    report = run_checks(p)
     # strict JSON: a non-finite deviation is written as null
     strict = json.loads(json.dumps(report), parse_constant=lambda _: None)
     print(json.dumps(strict, indent=2, allow_nan=False))
@@ -310,11 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bernstein / modified-Jacobi basis transformations and constrained degree reduction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("matrix", help="write a connection-coefficient matrix as CSV")
+    sp = sub.add_parser("matrix", help="write the production connection-coefficient matrix as CSV")
     sp.add_argument("direction", choices=("c", "d"),
                     help="c: Jacobi-to-Bernstein, d: Bernstein-to-Jacobi")
-    sp.add_argument("--method", default=None,
-                    help="c: direct|thm1|thm2|oracle, d: direct|thm3|thm4|oracle")
     _add_param_flags(sp)
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=_cmd_matrix)
@@ -329,16 +315,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="time the matrix builders and fit complexity slopes")
     sp.add_argument("--n-list", required=True, help="comma-separated degrees, e.g. 5,6,7")
     sp.add_argument("--reps", type=int, default=1, help="timed builds per (method, n)")
-    sp.add_argument("--methods", default=None,
-                    help=f"comma-separated subset of {','.join(BENCH_METHODS)}")
     _add_param_flags(sp, with_n=False)
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=_cmd_bench)
 
     sp = sub.add_parser("check", help="run consistency checks for one parameter set")
     _add_param_flags(sp)
-    sp.add_argument("--tolerance", type=float, default=1e-9,
-                    help="relative tolerance of the entrywise comparisons (finite, >= 0)")
     sp.set_defaults(func=_cmd_check)
     return parser
 

@@ -38,8 +38,8 @@ class ReductionProblem:
 
     def __post_init__(self):
         n, m = self.source.degree, self.target_degree
-        if not _is_count(m):
-            raise ValueError(f"target degree must be an integer, got {m!r}")
+        if not _is_count(m) or m < 0:
+            raise ValueError(f"target degree must be a nonnegative integer, got {m!r}")
         # validates k, l, alpha, beta and k + l <= n
         TransformParams(n, self.k, self.l, self.alpha, self.beta)
         if m < self.k + self.l - 1:

@@ -40,6 +40,7 @@ class TestTransformParams:
         (True, 0, 0, 0.0, 0.0),
         (3, True, 0, 0.0, 0.0),
         (3, 0, 1.0, 0.0, 0.0),
+        pytest.param(3, 0, 0, 10**400, 0.0, id="3-0-0-10**400-0.0"),
     ])
     def test_invalid(self, n, k, l, a, b):
         with pytest.raises(ValueError):
@@ -235,6 +236,7 @@ class TestCurveJson:
         {"degree": 1, "dimension": 1, "control_points": [{}, {}]},
         {"degree": 1, "dimension": 1, "control_points": [[True], [0]]},
         {"degree": 1, "dimension": 1, "control_points": [["1"], [0]]},
+        {"degree": 1, "dimension": 1, "control_points": [[10**400], [0]]},
     ])
     def test_invalid_objects(self, obj):
         with pytest.raises(ValueError):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from conftest import assert_mixed_close
 
+import bernjac
 import bernjac.bernstein_to_jacobi as b2j
 import bernjac.degree_reduction as dred
 import bernjac.jacobi_to_bernstein as j2b
 from bernjac.bases import TransformParams
 from bernjac.bernstein_to_jacobi import d_oracle
-from bernjac.cli import BENCH_METHODS, main, run_benchmark
+from bernjac.cli import BENCH_METHODS, main, matrix_csv, run_benchmark
 from bernjac.jacobi_to_bernstein import c_oracle
 
 
@@ -37,7 +38,7 @@ def nan_builder(real):
 class TestMatrixCommand:
     def test_c_matrix_values(self, tmp_path):
         out = tmp_path / "c.csv"
-        rc = main(["matrix", "c", "--method", "thm2", "-n", "4", "-k", "1", "-l", "1",
+        rc = main(["matrix", "c", "-n", "4", "-k", "1", "-l", "1",
                    "--alpha", "0", "--beta", "0", "--out", str(out)])
         assert rc == 0
         rows = read_csv(out)
@@ -49,46 +50,39 @@ class TestMatrixCommand:
 
     def test_d_single_cell(self, tmp_path):
         out = tmp_path / "d.csv"
-        rc = main(["matrix", "d", "--method", "thm4", "-n", "2", "-k", "1", "-l", "1",
-                   "--out", str(out)])
+        rc = main(["matrix", "d", "-n", "2", "-k", "1", "-l", "1", "--out", str(out)])
         assert rc == 0
         rows = read_csv(out)
         assert rows[0] == ["h\\i", "2"]
         assert float(rows[1][1]) == 2.0
 
-    def test_default_methods(self, tmp_path):
+    @pytest.mark.parametrize("direction", ["c", "d"])
+    def test_writes_production_route(self, tmp_path, direction):
+        build = {"c": bernjac.jacobi_to_bernstein_matrix, "d": bernjac.bernstein_to_jacobi_matrix}[direction]
         out = tmp_path / "m.csv"
-        assert main(["matrix", "c", "-n", "3", "--out", str(out)]) == 0
-        assert main(["matrix", "d", "-n", "3", "--out", str(out)]) == 0
+        assert main(["matrix", direction, "-n", "7", "-k", "1", "-l", "2",
+                     "--alpha", "0.5", "--beta", "-0.5", "--out", str(out)]) == 0
+        assert out.read_text() == matrix_csv(build(TransformParams(7, 1, 2, 0.5, -0.5)))
 
     def test_invalid_params_exit_2_no_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
-        rc = main(["matrix", "c", "--method", "thm2", "-n", "2", "-k", "2", "-l", "2",
-                   "--out", str(out)])
+        rc = main(["matrix", "c", "-n", "2", "-k", "2", "-l", "2", "--out", str(out)])
         assert rc == 2
         assert "k + l" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_wrong_method_for_direction(self, tmp_path):
-        rc = main(["matrix", "c", "--method", "thm4", "-n", "3", "--out",
-                   str(tmp_path / "x.csv")])
-        assert rc == 2
-
     def test_csv_round_trips_exactly(self, tmp_path):
         out = tmp_path / "c.csv"
-        main(["matrix", "c", "--method", "oracle", "-n", "5", "-k", "0", "-l", "2",
+        main(["matrix", "c", "-n", "5", "-k", "0", "-l", "2",
               "--alpha", "0.5", "--beta", "-0.5", "--out", str(out)])
         got = np.array([[float(v) for v in r[1:]] for r in read_csv(out)[1:]])
-        ref = c_oracle(TransformParams(5, 0, 2, 0.5, -0.5)).values
+        ref = bernjac.jacobi_to_bernstein_matrix(TransformParams(5, 0, 2, 0.5, -0.5)).values
         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("direction,method", [
-        ("c", "thm1"), ("c", "thm2"), ("c", "direct"), ("c", "oracle"),
-        ("d", "thm3"), ("d", "thm4"), ("d", "direct"), ("d", "oracle"),
-    ])
-    def test_every_method_writes_labelled_csv(self, tmp_path, direction, method):
+    @pytest.mark.parametrize("direction", ["c", "d"])
+    def test_writes_labelled_csv(self, tmp_path, direction):
         out = tmp_path / "m.csv"
-        assert main(["matrix", direction, "--method", method, "-n", "9", "-k", "1", "-l", "2",
+        assert main(["matrix", direction, "-n", "9", "-k", "1", "-l", "2",
                      "--alpha", "0.5", "--beta", "-0.5", "--out", str(out)]) == 0
         rows = read_csv(out)
         i_labels, h_labels = [str(i) for i in range(3, 10)], [str(h) for h in range(1, 8)]
@@ -100,7 +94,7 @@ class TestMatrixCommand:
         assert rows[0] == [corner] + col_labels
         assert [r[0] for r in rows[1:]] == row_labels
         got = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-        assert_mixed_close(got, ref, label=f"{direction}/{method}")
+        assert_mixed_close(got, ref, label=direction)
 
     def test_non_finite_matrix_exit_2_no_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(j2b, "c_theorem2", nan_builder(j2b.c_theorem2))
@@ -197,25 +191,19 @@ class TestBenchCommand:
         assert all(float(r[8]) > 0.0 for r in timing)
         assert not any(r[0] == "slope" for r in rows[1:])
 
-    def test_bad_method_rejected(self, tmp_path):
-        rc = main(["bench", "--n-list", "5", "--methods", "warp", "--out",
-                   str(tmp_path / "x.csv")])
-        assert rc == 2
-
-    @pytest.mark.parametrize("n_list,methods", [
-        ("5", ""), ("5", " , "), ("5", "thm2,thm2"), ("5,5", "thm2"), ("5,6,5", "thm2"),
-    ], ids=["", " , ", "thm2,thm2", "n-list=5,5", "n-list=5,6,5"])
-    def test_empty_or_repeated_methods_rejected(self, tmp_path, n_list, methods):
+    @pytest.mark.parametrize("n_list", ["5,5", "5,6,5", "0,1,2,3,4"])
+    def test_bad_degree_list_rejected(self, tmp_path, capsys, n_list):
         out = tmp_path / "x.csv"
-        rc = main(["bench", "--n-list", n_list, "--methods", methods, "--out", str(out)])
+        rc = main(["bench", "--n-list", n_list, "--out", str(out)])
         assert rc == 2
+        assert "distinct degrees >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_benchmark_slopes_need_five_degrees(self):
-        rep = run_benchmark([5, 6, 7, 8], methods=("thm2",), reps=1)
+        rep = run_benchmark([5, 6, 7, 8], reps=1)
         assert rep.slopes == {}
-        rep = run_benchmark([5, 6, 7, 8, 9], methods=("thm2",), reps=1)
-        assert "thm2" in rep.slopes
+        rep = run_benchmark([5, 6, 7, 8, 9], reps=1)
+        assert list(rep.slopes) == list(BENCH_METHODS)
 
 
 class TestCheckCommand:
@@ -301,13 +289,6 @@ class TestCheckCommand:
     def test_non_finite_weight_is_usage_error(self, flag, capsys):
         assert main(["check", "-n", "5", flag]) == 2
         assert "finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--tolerance=nan", "--tolerance=inf", "--tolerance=-1"])
-    def test_bad_tolerance_is_usage_error(self, flag, capsys):
-        assert main(["check", "-n", "5", flag]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "tolerance must be finite" in captured.err
 
 
 def test_no_command_is_usage_error():

@@ -118,6 +118,7 @@ class TestReduceProblemValidation:
         (2, 0, 1.0, 0.0, 0.0),
         (2, 1, 1, math.nan, 0.0),
         (2, 1, 1, 0.0, math.inf),
+        (-1, 0, 0, 0.0, 0.0),
     ])
     def test_non_integer_orders_and_non_finite_weights(self, m, k, l, alpha, beta):
         with pytest.raises(ValueError):
