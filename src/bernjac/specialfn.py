@@ -82,6 +82,31 @@ def hahn_eval(n: int, x: float, p: HahnParams) -> float:
     return total + term
 
 
+def _hahn_rec_coeffs(n: int, a: float, b: float, N: int) -> tuple[float, float]:
+    # A_0 carries a removable (a+b+1) factor shared with its denominator;
+    # the cancelled form stays finite when a+b+1 == 0.
+    if n == 0:
+        return (a + 1.0) * N / (a + b + 2.0), 0.0
+    A = (n + a + b + 1.0) * (n + a + 1.0) * (N - n) / ((2.0 * n + a + b + 1.0) * (2.0 * n + a + b + 2.0))
+    C = n * (n + a + b + N + 1.0) * (n + b) / ((2.0 * n + a + b) * (2.0 * n + a + b + 1.0))
+    return A, C
+
+
+def hahn_recurrence_step(n: int, x: float, p: HahnParams, q_n: float, q_prev: float) -> float:
+    """Advance the Hahn three-term recurrence one degree.
+
+    Given Q_n(x) and Q_{n-1}(x), returns Q_{n+1}(x); q_prev is ignored for
+    n = 0.
+    """
+    if not 0 <= n < p.N:
+        raise ValueError(f"recurrence step requires 0 <= n < N, got n={n}, N={p.N}")
+    A, C = _hahn_rec_coeffs(n, p.alpha, p.beta, p.N)
+    assert A != 0.0, "Hahn recurrence coefficient A_n vanished inside its valid domain"
+    if n == 0:
+        return (A + C - x) * q_n / A
+    return ((A + C - x) * q_n - C * q_prev) / A
+
+
 def dual_hahn_eval(n: int, x: int, p: HahnParams) -> float:
     """Dual Hahn polynomial R_n(lambda(x); alpha, beta, N), lambda(x) = x(x+alpha+beta+1)."""
     if not 0 <= n <= p.N:

@@ -5,10 +5,12 @@ from conftest import ALPHA_BETA, hahn_series_scale
 
 from bernjac.specialfn import (
     HahnParams,
+    _hahn_rec_coeffs,
     beta_fn,
     dual_hahn_eval,
     gen_binomial,
     hahn_eval,
+    hahn_recurrence_step,
     pochhammer,
 )
 
@@ -132,6 +134,61 @@ class TestHahnEval:
     def test_degree_beyond_N_rejected(self):
         with pytest.raises(ValueError):
             hahn_eval(3, 1.0, HahnParams(0.0, 0.0, 2))
+
+
+class TestHahnRecurrenceStep:
+    def test_at_x_zero(self):
+        # Q_n(0) = 1 for every n
+        p = HahnParams(0.7, 0.1, 4)
+        assert hahn_recurrence_step(0, 0.0, p, 1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+
+    def test_reproduces_degree_one(self):
+        p = HahnParams(0.0, 0.0, 2)
+        q1 = hahn_recurrence_step(0, 1.0, p, 1.0, 0.0)
+        assert q1 == pytest.approx(hahn_eval(1, 1.0, p), abs=1e-15)
+
+    def test_reproduces_degree_two(self):
+        # Q_2(1; 0,0,2) = -2 by the direct series
+        p = HahnParams(0.0, 0.0, 2)
+        q2 = hahn_recurrence_step(1, 1.0, p, 0.0, 1.0)
+        assert q2 == pytest.approx(-2.0, rel=1e-14)
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError):
+            hahn_recurrence_step(2, 0.0, HahnParams(0.0, 0.0, 2), 1.0, 1.0)
+
+    @pytest.mark.parametrize("a", ALPHA_BETA)
+    @pytest.mark.parametrize("b", ALPHA_BETA)
+    def test_iteration_matches_series(self, a, b):
+        # iterated agreement is value-relative only while the series stays
+        # well conditioned; beyond N=9 amplification makes it meaningless
+        for N in range(1, 10):
+            p = HahnParams(a, b, N)
+            for x in range(0, N + 1):
+                q_prev, q = 0.0, 1.0
+                for n in range(0, N):
+                    q_prev, q = q, hahn_recurrence_step(n, float(x), p, q, q_prev)
+                    direct = hahn_eval(n + 1, float(x), p)
+                    assert abs(q - direct) <= 1e-9 * max(1.0, abs(direct))
+
+    @pytest.mark.parametrize("a", ALPHA_BETA)
+    @pytest.mark.parametrize("b", ALPHA_BETA)
+    def test_single_step_residual_full_range(self, a, b):
+        # each step, fed series values, reproduces the next series value to
+        # 1e-9 of the conditioning scale of its inputs and output, N <= 20
+        for N in (10, 14, 17, 20):
+            p = HahnParams(a, b, N)
+            for x in range(N + 1):
+                for n in range(N):
+                    qn = hahn_eval(n, float(x), p)
+                    qp = hahn_eval(n - 1, float(x), p) if n else 0.0
+                    nxt = hahn_eval(n + 1, float(x), p)
+                    got = hahn_recurrence_step(n, float(x), p, qn, qp)
+                    A, C = _hahn_rec_coeffs(n, a, b, N)
+                    S = max(1.0, hahn_series_scale(n + 1, x, a, b, N),
+                            (abs(A + C - x) * hahn_series_scale(n, x, a, b, N)
+                             + abs(C) * hahn_series_scale(n - 1, x, a, b, N)) / abs(A))
+                    assert abs(got - nxt) <= 1e-9 * S
 
 
 class TestDualHahn:
