@@ -221,7 +221,7 @@ def eval_shifted_jacobi(i: int, alpha: float, beta: float, x: float) -> float:
     Evaluated by its terminating series in powers of (1-x); adequate for the
     moderate degrees this library targets.
     """
-    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+    if not (-1.0 < alpha <= sys.float_info.max and -1.0 < beta <= sys.float_info.max):
         raise ValueError("shifted Jacobi parameters must be finite with alpha > -1 and beta > -1")
     if i < 0:
         raise ValueError("shifted Jacobi degree must be nonnegative")

@@ -10,6 +10,7 @@ leave partial artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -71,8 +72,8 @@ def matrix_csv(mat) -> str:
     `h\\i` for rows h.
     """
     lines = [",".join([f"{mat.rows}\\{mat.cols}"] + [str(c) for c in mat.indices(mat.cols)])]
-    for r, label in enumerate(mat.indices(mat.rows)):
-        lines.append(",".join([str(label)] + [repr(float(v)) for v in mat.values[r]]))
+    for label, row in zip(mat.indices(mat.rows), mat.values.tolist()):
+        lines.append(",".join([str(label), *map(repr, row)]))
     return "\n".join(lines) + "\n"
 
 
@@ -292,7 +293,9 @@ def _add_param_flags(sp, with_n=True):
     sp.add_argument("--beta", type=float, default=0.0, help="weight exponent of x")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="bernjac",
         description="Bernstein / modified-Jacobi basis transformations and constrained degree reduction")

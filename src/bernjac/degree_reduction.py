@@ -18,6 +18,7 @@ import numpy as np
 from .bases import BezierCurve, ModJacobiCoeffs, TransformParams, _is_count, bernstein_gram
 from .bernstein_to_jacobi import d_theorem4
 from .jacobi_to_bernstein import c_theorem2
+from .specialfn import _float_binomials
 
 
 @dataclass(frozen=True)
@@ -60,15 +61,19 @@ class ReductionResult:
 
 
 def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
-    """Degree-elevate a curve: identical polynomial, more control points."""
-    if to_degree < curve.degree:
-        raise ValueError(f"cannot elevate degree {curve.degree} curve to lower degree {to_degree}")
-    pts = curve.control_points
-    for deg in range(curve.degree, to_degree):
-        t = (np.arange(1, deg + 1) / (deg + 1.0))[:, None]
-        mid = t * pts[:-1] + (1.0 - t) * pts[1:]
-        pts = np.vstack([pts[:1], mid, pts[-1:]])
-    return BezierCurve(pts)
+    """Degree-elevate a curve: identical polynomial, more control points.
+
+    Degree-n control point j is the sum over i of
+    C(m,i) C(n-m,j-i) / C(n,j) times degree-m control point i: one
+    (n+1) x (m+1) product.
+    """
+    m, n = curve.degree, to_degree
+    if n < m:
+        raise ValueError(f"cannot elevate degree {m} curve to lower degree {n}")
+    bm, bd, bn = (np.array(_float_binomials(d)) for d in (m, n - m, n))
+    d = np.arange(n + 1)[:, None] - np.arange(m + 1)
+    E = np.where((d >= 0) & (d <= n - m), bm * bd[np.clip(d, 0, n - m)] / bn[:, None], 0.0)
+    return BezierCurve(E @ curve.control_points)
 
 
 def forced_boundary(curve: BezierCurve, m: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:

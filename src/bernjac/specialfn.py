@@ -10,7 +10,12 @@ formulas and the exact Gram-matrix oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+# Range checks compare exactly against the largest double, so a Python int
+# beyond double range fails them instead of overflowing in float arithmetic.
+_MAX = sys.float_info.max
 
 
 def pochhammer(h: float, i: int) -> float:
@@ -20,7 +25,7 @@ def pochhammer(h: float, i: int) -> float:
     partial result exact up to one rounding per factor and never round-trips
     through the gamma function.
     """
-    if not -math.inf < h < math.inf:
+    if not -_MAX <= h <= _MAX:
         raise ValueError(f"pochhammer base must be finite, got {h}")
     if type(i) is not int or i < 0:
         raise ValueError(f"pochhammer order must be a nonnegative integer, got {i!r}")
@@ -37,7 +42,7 @@ def gen_binomial(y: float, t: float) -> float:
     closed-form connection-coefficient formulas actually exercise.  Results
     beyond double range saturate to inf instead of raising.
     """
-    if not (-1.0 < y < math.inf and -1.0 < t < math.inf and y - t + 1.0 > 0.0):
+    if not (-1.0 < y <= _MAX and -1.0 < t <= _MAX and y - t + 1.0 > 0.0):
         raise ValueError(f"gen_binomial arguments out of domain: y={y}, t={t}")
     v = math.lgamma(y + 1.0) - math.lgamma(t + 1.0) - math.lgamma(y - t + 1.0)
     return math.exp(v) if v < 709.0 else math.inf
@@ -45,7 +50,7 @@ def gen_binomial(y: float, t: float) -> float:
 
 def beta_fn(a: float, b: float) -> float:
     """Euler Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), for finite a, b > 0."""
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+    if not (0.0 < a <= _MAX and 0.0 < b <= _MAX):
         raise ValueError(f"beta_fn requires finite positive arguments, got ({a}, {b})")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
@@ -59,7 +64,7 @@ class HahnParams:
     N: int
 
     def __post_init__(self):
-        if not (-1.0 < self.alpha < math.inf and -1.0 < self.beta < math.inf):
+        if not (-1.0 < self.alpha <= _MAX and -1.0 < self.beta <= _MAX):
             raise ValueError("Hahn parameters require finite alpha > -1 and beta > -1")
         if type(self.N) is not int or self.N < 0:
             raise ValueError("Hahn parameter N must be a nonnegative integer")
@@ -131,7 +136,8 @@ def _float_binomials(n: int) -> list[float]:
 
 
 def _poch_ratio(num: list[tuple[float, int]], den: list[tuple[float, int]]) -> float:
-    """Product of rising factorials over product of rising factorials.
+    """Product of rising factorials over product of rising factorials, with
+    as many factors above as below.
 
     Factors from the two sides are consumed alternately so intermediate
     values stay scaled even when the individual pochhammers would overflow.
@@ -139,9 +145,6 @@ def _poch_ratio(num: list[tuple[float, int]], den: list[tuple[float, int]]) -> f
     nf = [s + j for s, c in num for j in range(c)]
     df = [s + j for s, c in den for j in range(c)]
     out = 1.0
-    for j in range(max(len(nf), len(df))):
-        if j < len(nf):
-            out *= nf[j]
-        if j < len(df):
-            out /= df[j]
+    for x, y in zip(nf, df, strict=True):
+        out = out * x / y
     return out

@@ -102,7 +102,8 @@ class TestEvalShiftedJacobi:
         with pytest.raises(ValueError):
             eval_shifted_jacobi(-1, 0.0, 0.0, 0.5)
 
-    @pytest.mark.parametrize("a,b", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+    @pytest.mark.parametrize("a,b", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0),
+                                     pytest.param(10**400, 0.0, id="huge-0.0")])
     def test_non_finite_weights_rejected(self, a, b):
         with pytest.raises(ValueError):
             eval_shifted_jacobi(2, a, b, 0.5)

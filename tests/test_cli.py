@@ -291,6 +291,18 @@ class TestCheckCommand:
         assert "finite" in capsys.readouterr().err
 
 
+def test_parser_reuse_keeps_no_state(tmp_path, capsys):
+    # the parser is built once per process; no value of one call may leak into the next
+    out = tmp_path / "d.csv"
+    assert main(["matrix", "d", "-n", "6", "-k", "2", "-l", "1", "--alpha", "3", "--beta", "1",
+                 "--out", str(out)]) == 0
+    assert main(["check", "-n", "6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"] == {"n": 6, "k": 0, "l": 0, "alpha": 0.0, "beta": 0.0}
+    assert main(["matrix", "c", "-n", "6", "-k", "nope", "--out", str(out)]) == 2
+    assert main(["check", "-n", "6"]) == 0
+
+
 def test_no_command_is_usage_error():
     assert main([]) == 2
 

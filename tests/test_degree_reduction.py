@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,14 +11,15 @@ from bernjac.degree_reduction import ReductionProblem, elevate, forced_boundary,
 from bernjac.jacobi_to_bernstein import c_theorem2
 
 
+def exact_elevation(m: int, n: int) -> list[list[Fraction]]:
+    """Linear map from degree-m control points to degree-n control points,
+    entry (j, i) = C(m, i) C(n-m, j-i) / C(n, j), in exact rationals."""
+    return [[Fraction(math.comb(m, i) * math.comb(n - m, j - i), math.comb(n, j)) if 0 <= j - i <= n - m
+             else Fraction(0) for i in range(m + 1)] for j in range(n + 1)]
+
+
 def elevation_matrix(m: int, n: int) -> np.ndarray:
-    """Linear map from degree-m control points to degree-n control points."""
-    E = np.zeros((n + 1, m + 1))
-    for j in range(m + 1):
-        e = np.zeros(m + 1)
-        e[j] = 1.0
-        E[:, j] = elevate(BezierCurve(e), n).control_points[:, 0]
-    return E
+    return np.array(exact_elevation(m, n), dtype=float)
 
 
 def constrained_ls_reduce(curve: BezierCurve, m: int, k: int, l: int,
@@ -92,6 +94,16 @@ class TestElevate:
     def test_lower_degree_rejected(self):
         with pytest.raises(ValueError):
             elevate(BezierCurve(np.zeros((4, 1))), 2)
+
+    @pytest.mark.parametrize("m,n", [(0, 7), (3, 3), (4, 11), (8, 20), (3, 40)])
+    def test_matches_exact_elevation_matrix(self, rng, m, n):
+        pts = rng.normal(size=(m + 1, 2))
+        out = elevate(BezierCurve(pts), n).control_points
+        ref = [[float(sum(e * Fraction(p[c]) for e, p in zip(row, pts))) for c in range(2)]
+               for row in exact_elevation(m, n)]
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-15 * np.max(np.abs(pts)))
+        if m == n:
+            np.testing.assert_array_equal(out, pts)
 
 
 class TestReduceProblemValidation:

@@ -6,6 +6,7 @@ from conftest import ALPHA_BETA, hahn_series_scale
 from bernjac.specialfn import (
     HahnParams,
     _hahn_rec_coeffs,
+    _poch_ratio,
     beta_fn,
     dual_hahn_eval,
     gen_binomial,
@@ -93,6 +94,7 @@ class TestHahnParams:
 
 
 NAN, INF = math.nan, math.inf
+HUGE = 10**400  # an int beyond double range
 REJECTED = [
     (HahnParams, (NAN, 0.0, 3)),
     (HahnParams, (0.0, INF, 3)),
@@ -104,13 +106,36 @@ REJECTED = [
     (beta_fn, (1.0, NAN)),
     (pochhammer, (1.0, True)),
     (pochhammer, (NAN, 2)),
+    (pochhammer, (HUGE, 2)),
+    (gen_binomial, (HUGE, 1.0)),
+    (beta_fn, (HUGE, 1.0)),
+    (HahnParams, (HUGE, 0.0, 3)),
 ]
 
 
-@pytest.mark.parametrize("fn,args", REJECTED, ids=[f"{fn.__name__}{args}" for fn, args in REJECTED])
+def _rejected_id(fn, args):
+    return f"{fn.__name__}-huge" if args[0] is HUGE else f"{fn.__name__}{args}"
+
+
+@pytest.mark.parametrize("fn,args", REJECTED, ids=[_rejected_id(fn, args) for fn, args in REJECTED])
 def test_non_finite_and_bool_inputs_rejected(fn, args):
     with pytest.raises(ValueError):
         fn(*args)
+
+
+class TestPochRatio:
+    def test_known_value(self):
+        # (1)_5 / (2)_5 = 5! / (6!/1!) = 1/6
+        assert _poch_ratio([(1.0, 5)], [(2.0, 5)]) == pytest.approx(1.0 / 6.0, rel=1e-15)
+
+    def test_factors_split_across_pochhammers(self):
+        # (1)_2 (4)_1 / (2)_3 = 2*4 / (2*3*4) = 1/3
+        assert _poch_ratio([(1.0, 2), (4.0, 1)], [(2.0, 3)]) == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("num,den", [([(1.0, 3)], [(2.0, 2)]), ([(1.0, 2)], [(2.0, 1), (5.0, 2)])])
+    def test_unequal_factor_counts_rejected(self, num, den):
+        with pytest.raises(ValueError):
+            _poch_ratio(num, den)
 
 
 class TestHahnEval:
