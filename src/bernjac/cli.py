@@ -293,9 +293,8 @@ def _add_param_flags(sp, with_n=True):
     sp.add_argument("--beta", type=float, default=0.0, help="weight exponent of x")
 
 
-@functools.cache
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="bernjac",
         description="Bernstein / modified-Jacobi basis transformations and constrained degree reduction")

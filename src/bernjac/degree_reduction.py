@@ -63,14 +63,13 @@ class ReductionResult:
 def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
     """Degree-elevate a curve: identical polynomial, more control points.
 
-    Degree-n control point j is the sum over i of
-    C(m,i) C(n-m,j-i) / C(n,j) times degree-m control point i: one
-    (n+1) x (m+1) product.
-    """
+    One (n+1) x (m+1) product; entry (j, i) is C(m,i) C(n-m,j-i) / C(n,j)."""
     m, n = curve.degree, to_degree
     if n < m:
         raise ValueError(f"cannot elevate degree {m} curve to lower degree {n}")
     bm, bd, bn = (np.array(_float_binomials(d)) for d in (m, n - m, n))
+    if not np.all(np.isfinite(bn)):
+        raise ValueError(f"cannot elevate to degree {n}: its binomial coefficients overflow a double")
     d = np.arange(n + 1)[:, None] - np.arange(m + 1)
     E = np.where((d >= 0) & (d <= n - m), bm * bd[np.clip(d, 0, n - m)] / bn[:, None], 0.0)
     return BezierCurve(E @ curve.control_points)

@@ -13,8 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-# Range checks compare exactly against the largest double, so a Python int
-# beyond double range fails them instead of overflowing in float arithmetic.
+# exact range bound: an int beyond double range fails it instead of overflowing
 _MAX = sys.float_info.max
 
 
@@ -136,8 +135,7 @@ def _float_binomials(n: int) -> list[float]:
 
 
 def _poch_ratio(num: list[tuple[float, int]], den: list[tuple[float, int]]) -> float:
-    """Product of rising factorials over product of rising factorials, with
-    as many factors above as below.
+    """Ratio of two products of rising factorials with equal factor counts.
 
     Factors from the two sides are consumed alternately so intermediate
     values stay scaled even when the individual pochhammers would overflow.

@@ -95,6 +95,10 @@ class TestElevate:
         with pytest.raises(ValueError):
             elevate(BezierCurve(np.zeros((4, 1))), 2)
 
+    def test_binomial_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            elevate(BezierCurve(np.ones((3, 1))), 1100)
+
     @pytest.mark.parametrize("m,n", [(0, 7), (3, 3), (4, 11), (8, 20), (3, 40)])
     def test_matches_exact_elevation_matrix(self, rng, m, n):
         pts = rng.normal(size=(m + 1, 2))

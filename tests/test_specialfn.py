@@ -113,11 +113,8 @@ REJECTED = [
 ]
 
 
-def _rejected_id(fn, args):
-    return f"{fn.__name__}-huge" if args[0] is HUGE else f"{fn.__name__}{args}"
-
-
-@pytest.mark.parametrize("fn,args", REJECTED, ids=[_rejected_id(fn, args) for fn, args in REJECTED])
+@pytest.mark.parametrize("fn,args", REJECTED, ids=[f"{fn.__name__}-huge" if args[0] is HUGE else f"{fn.__name__}{args}"
+                                                   for fn, args in REJECTED])
 def test_non_finite_and_bool_inputs_rejected(fn, args):
     with pytest.raises(ValueError):
         fn(*args)
@@ -127,10 +124,6 @@ class TestPochRatio:
     def test_known_value(self):
         # (1)_5 / (2)_5 = 5! / (6!/1!) = 1/6
         assert _poch_ratio([(1.0, 5)], [(2.0, 5)]) == pytest.approx(1.0 / 6.0, rel=1e-15)
-
-    def test_factors_split_across_pochhammers(self):
-        # (1)_2 (4)_1 / (2)_3 = 2*4 / (2*3*4) = 1/3
-        assert _poch_ratio([(1.0, 2), (4.0, 1)], [(2.0, 3)]) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
     @pytest.mark.parametrize("num,den", [([(1.0, 3)], [(2.0, 2)]), ([(1.0, 2)], [(2.0, 1), (5.0, 2)])])
     def test_unequal_factor_counts_rejected(self, num, den):
