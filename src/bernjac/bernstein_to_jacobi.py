@@ -6,7 +6,8 @@ ratios and w a Hahn polynomial value.  The recurrence routes advance z by a
 one-term ratio and w by a three-term relation, keeping only the previous
 lane values, so memory beyond the output stays O(n):
 
-* ``d_direct``   -- z by its product formula, w by the Hahn series; O(n^3).
+* ``d_direct``   -- z by its product formula, w by the Hahn series, the whole
+  matrix at once; O(n^3).
 * ``d_theorem3`` -- lanes of fixed h, advancing over i; O(n^2).
 * ``d_theorem4`` -- lanes of fixed i, advancing over h; O(n^2); the
   production route, fastest in practice.
@@ -23,11 +24,12 @@ import math
 import numpy as np
 
 from .bases import ConnectionMatrix, TransformParams
-from .specialfn import HahnParams, _float_binomials, _poch_ratio, gen_binomial, hahn_eval
+from .specialfn import HahnParams, _float_binomials, _hahn_table, _poch_ratio, gen_binomial
 
 
 def _z_entry(p: TransformParams, h: int, i: int) -> float:
-    """Product-formula value of the z factor for one (h, i) pair.
+    """Product-formula value of the z factor for one (h, i) pair; the
+    scalar reference of ``d_direct``'s z.
 
     The (2i+sigma) numerator cancels the leading denominator pochhammer
     factor exactly at i = k+l, which keeps the expression finite when
@@ -74,15 +76,39 @@ def _z_first_column(p: TransformParams) -> list[float]:
 
 
 def d_direct(p: TransformParams) -> ConnectionMatrix:
-    """Entrywise z-product times Hahn-series w (cubic-cost reference)."""
+    """z-product times Hahn-series w (cubic-cost reference).
+
+    Both factors are evaluated for the whole matrix at once, each entry
+    with the scalar arithmetic of ``_z_entry`` and ``hahn_eval`` in the
+    same order, so the cost stays O(n^3).  Of the factor pairs of z[h][i],
+    the first i-k-l depend on i alone and form a running prefix; each of
+    the remaining m takes its numerator from h and its denominator from i,
+    so one vector step per pair position advances every entry.
+    """
     n, k, l = p.n, p.k, p.l
+    a, b, sig = p.alpha, p.beta, p.sigma
     m = n - k - l
-    hp = HahnParams(p.beta + 2.0 * k, p.alpha + 2.0 * l, m)
-    rows = []
-    for h in range(k, n - l + 1):
-        rows.append([_z_entry(p, h, i) * hahn_eval(i - k - l, h - k, hp)
-                     for i in range(k + l, n + 1)])
-    return ConnectionMatrix(p, np.array(rows), "h")
+    a1 = a + 2.0 * l + 1.0
+    b1 = b + 2.0 * k + 1.0
+    prefix = [1.0] * (m + 1)
+    for c in range(m):
+        prefix[c + 1] = prefix[c] * (k + l - n + c) / (a1 + c)
+    s = np.arange(m + 1)[:, None]
+    t = np.arange(m)
+    num = np.where(t < m - s, a1 + t, b1 + (t - (m - s)))  # [h - k, pair]
+    den = (np.arange(k + l, n + 1)[:, None] + k + l + sig + 1.0) + t  # [i - k - l, pair]
+    ratio0 = [1.0 if i == k + l else (2.0 * i + sig) / (i + k + l + sig) for i in range(k + l, n + 1)]
+    binom = [float(math.comb(n, h)) for h in range(k, n - l + 1)]
+    hp = HahnParams(b + 2.0 * k, a + 2.0 * l, m)
+    with np.errstate(all="ignore"):
+        body = np.tile(prefix, (m + 1, 1))
+        for q in range(m):
+            body *= num[:, q, None]
+            body /= den[:, q]
+        values = np.outer(binom, ratio0)
+        values *= body
+        values *= _hahn_table(hp).T  # entry (h, i) takes Q_{i-k-l}(h - k)
+    return ConnectionMatrix(p, values, "h")
 
 
 def d_theorem3(p: TransformParams) -> ConnectionMatrix:
@@ -195,7 +221,8 @@ def d_oracle(p: TransformParams) -> ConnectionMatrix:
 def u_factors(p: TransformParams) -> ConnectionMatrix:
     """Bridge factors u with c[i][h] = u[i][h] * d[h][i].
 
-    Seeds the first row (i = k+l) and advances each column over i.
+    Seeds the first row (i = k+l) and advances over i one row at a time:
+    the step factor does not depend on h.
     """
     n, k, l = p.n, p.k, p.l
     a, b, sig = p.alpha, p.beta, p.sigma
@@ -205,17 +232,17 @@ def u_factors(p: TransformParams) -> ConnectionMatrix:
     binom_m = _float_binomials(m)
     for s in range(m + 1):
         h = k + s
-        u = binom_m[s] / binom_n[h] ** 2 * _poch_ratio(
+        vals[0, s] = binom_m[s] / binom_n[h] ** 2 * _poch_ratio(
             [(2.0 * k + 2.0 * l + sig + 1.0, m)],
             [(a + 2.0 * l + 1.0, n - l - h), (b + 2.0 * k + 1.0, s)],
         )
-        vals[0, s] = u
+    with np.errstate(all="ignore"):
         for r, i in enumerate(range(k + l + 1, n + 1), start=1):
             if i == k + l + 1:
-                u *= -(i + l + a - k) * (n + i + sig) * (i + k + b - l) / (
+                f = -(i + l + a - k) * (n + i + sig) * (i + k + b - l) / (
                     (2.0 * i + sig) * (i - k - l) * (i - n - 1.0))
             else:
-                u *= -(i + l + a - k) * (2.0 * i + a + b - 1.0) * (n + i + sig) * (i + k + b - l) / (
+                f = -(i + l + a - k) * (2.0 * i + a + b - 1.0) * (n + i + sig) * (i + k + b - l) / (
                     (2.0 * i + sig) * (i - k - l) * (i - n - 1.0) * (i + k + l + a + b))
-            vals[r, s] = u
+            vals[r] = vals[r - 1] * f
     return ConnectionMatrix(p, vals, "i")

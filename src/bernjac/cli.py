@@ -237,41 +237,52 @@ def _cross_check(name: str, mats: dict[str, ConnectionMatrix]) -> dict:
 def run_checks(p: TransformParams) -> dict:
     """Cross-method, round-trip, bridge-factor and orthogonality checks for
     one parameter set.  A NaN deviation fails its check and stays NaN in
-    the report."""
-    mats = {d: {m: _builder(d, m)(p) for m in table} for d, (_, table) in _ROUTES.items()}
-    checks = [_cross_check(f"cross_{d}", mats[d]) for d in _ROUTES]
+    the report, which carries every non-finite value, so numpy's
+    floating-point warnings are off."""
+    with np.errstate(all="ignore"):
+        mats = {d: {m: _builder(d, m)(p) for m in table} for d, (_, table) in _ROUTES.items()}
+        checks = [_cross_check(f"cross_{d}", mats[d]) for d in _ROUTES]
 
-    C, D = mats["c"][_PRODUCTION["c"]].values, mats["d"][_PRODUCTION["d"]].values
-    dev_dc = float(np.max(np.abs(D @ C - np.eye(p.dim))))
-    dev_cd = float(np.max(np.abs(C @ D - np.eye(p.dim))))
-    checks.append({"name": "round_trip", "passed": dev_dc <= _ROUND_TRIP_TOL and dev_cd <= _ROUND_TRIP_TOL,
-                   "max_deviation": float(np.max([dev_dc, dev_cd])), "tolerance": _ROUND_TRIP_TOL,
-                   "worst": {"DC": dev_dc, "CD": dev_cd}})
+        C, D = mats["c"][_PRODUCTION["c"]].values, mats["d"][_PRODUCTION["d"]].values
+        dev_dc = float(np.max(np.abs(D @ C - np.eye(p.dim))))
+        dev_cd = float(np.max(np.abs(C @ D - np.eye(p.dim))))
+        checks.append({"name": "round_trip", "passed": dev_dc <= _ROUND_TRIP_TOL and dev_cd <= _ROUND_TRIP_TOL,
+                       "max_deviation": float(np.max([dev_dc, dev_cd])), "tolerance": _ROUND_TRIP_TOL,
+                       "worst": {"DC": dev_dc, "CD": dev_cd}})
 
-    U = bernstein_to_jacobi.u_factors(p).values
-    dev = np.abs(C - U * D.T)
-    tol = _ATOL + _RTOL * np.abs(C)
-    checks.append(_entrywise("proposition_bridge", dev, dev - tol, tol,
-                             lambda r, c: _labels(mats["c"][_PRODUCTION["c"]], r, c)))
+        U = bernstein_to_jacobi.u_factors(p).values
+        dev = np.abs(C - U * D.T)
+        tol = _ATOL + _RTOL * np.abs(C)
+        checks.append(_entrywise("proposition_bridge", dev, dev - tol, tol,
+                                 lambda r, c: _labels(mats["c"][_PRODUCTION["c"]], r, c)))
 
-    M = np.abs(C @ bernstein_gram(p) @ C.T)
-    norms = np.sqrt(np.diag(M))
-    tol = _ORTHO_TOL * norms[:, None] * norms
-    off = M - tol
-    np.fill_diagonal(off, -math.inf)
-    checks.append(_entrywise("orthogonality", M, off, tol,
-                             lambda r, c: {"i": p.i_indices()[r], "j": p.i_indices()[c]}))
+        M = np.abs(C @ bernstein_gram(p) @ C.T)
+        norms = np.sqrt(np.diag(M))
+        tol = _ORTHO_TOL * norms[:, None] * norms
+        off = M - tol
+        np.fill_diagonal(off, -math.inf)
+        checks.append(_entrywise("orthogonality", M, off, tol,
+                                 lambda r, c: {"i": p.i_indices()[r], "j": p.i_indices()[c]}))
 
-    return {"params": {"n": p.n, "k": p.k, "l": p.l, "alpha": p.alpha, "beta": p.beta},
-            "checks": checks, "passed": all(ch["passed"] for ch in checks)}
+        return {"params": {"n": p.n, "k": p.k, "l": p.l, "alpha": p.alpha, "beta": p.beta},
+                "checks": checks, "passed": all(ch["passed"] for ch in checks)}
+
+
+def _strict(v):
+    """``v`` with every non-finite float replaced by None, for strict JSON."""
+    if isinstance(v, dict):
+        return {key: _strict(x) for key, x in v.items()}
+    if isinstance(v, list):
+        return [_strict(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
 
 
 def _cmd_check(args) -> int:
     p = TransformParams(args.n, args.k, args.l, args.alpha, args.beta)
     report = run_checks(p)
-    # strict JSON: a non-finite deviation is written as null
-    strict = json.loads(json.dumps(report), parse_constant=lambda _: None)
-    print(json.dumps(strict, indent=2, allow_nan=False))
+    print(json.dumps(_strict(report), indent=2, allow_nan=False))
     for ch in report["checks"]:
         if not ch["passed"]:
             print(f"check failed: {ch['name']} worst={ch['worst']} "

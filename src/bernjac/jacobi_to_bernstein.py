@@ -3,7 +3,8 @@ in the constrained Bernstein basis.
 
 Four independent construction routes with one output contract:
 
-* ``c_direct``   -- Hahn-series evaluation per entry, O(n^3), mid-trust.
+* ``c_direct``   -- Hahn-series evaluation, the whole matrix at once, O(n^3),
+  mid-trust.
 * ``c_theorem1`` -- row recurrence (fixed i, descending h), O(n^2).
 * ``c_theorem2`` -- column recurrence (fixed h, ascending i), O(n^2); the
   production route, fastest in practice.
@@ -18,24 +19,28 @@ import math
 import numpy as np
 
 from .bases import ConnectionMatrix, TransformParams
-from .specialfn import HahnParams, _float_binomials, gen_binomial, hahn_eval
+from .specialfn import HahnParams, _float_binomials, _hahn_table, gen_binomial
 
 
 def c_direct(p: TransformParams) -> ConnectionMatrix:
-    """Entrywise Hahn-series construction (cubic-cost reference)."""
+    """Hahn-series construction (cubic-cost reference).
+
+    The series is summed for the whole matrix at once, each entry with
+    ``hahn_eval``'s arithmetic, so the cost stays O(n^3).
+    """
     n, k, l, a, b = p.n, p.k, p.l, p.alpha, p.beta
     m = n - k - l
     hp = HahnParams(a + 2.0 * l, b + 2.0 * k, m)
     binom_n = _float_binomials(n)
     binom_m = _float_binomials(m)
     scale = [binom_m[s] / binom_n[k + s] for s in range(m + 1)]
-    rows = []
-    pre = 1.0
-    for r in range(m + 1):
-        if r:
-            pre *= (a + 2.0 * l + r) / r
-        rows.append([pre * scale[s] * hahn_eval(r, m - s, hp) for s in range(m + 1)])
-    return ConnectionMatrix(p, np.array(rows), "i")
+    pre = [1.0] * (m + 1)
+    for r in range(1, m + 1):
+        pre[r] = pre[r - 1] * ((a + 2.0 * l + r) / r)
+    with np.errstate(all="ignore"):
+        values = np.outer(pre, scale)
+        values *= _hahn_table(hp)[:, ::-1]  # column s holds Q_r(m - s)
+    return ConnectionMatrix(p, values, "i")
 
 
 def c_theorem1(p: TransformParams) -> ConnectionMatrix:

@@ -1,8 +1,9 @@
 """Scalar special-function kernel.
 
 Rising factorials, generalized binomial coefficients, the Beta function,
-and Hahn / dual Hahn polynomial evaluation.  The recurrence-based matrix
-builders in the transform modules never touch the gamma function;
+and Hahn / dual Hahn polynomial evaluation, plus a whole-table form of the
+Hahn series for the cubic-cost reference routes.  The recurrence-based
+matrix builders in the transform modules never touch the gamma function;
 everything gamma-flavoured here exists for the cubic-cost reference
 formulas and the exact Gram-matrix oracle.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 # exact range bound: an int beyond double range fails it instead of overflowing
 _MAX = sys.float_info.max
@@ -84,6 +87,27 @@ def hahn_eval(n: int, x: float, p: HahnParams) -> float:
         total += term
         term *= (j - n) * (n + a + b + 1.0 + j) * (j - x) / ((j + 1.0) * (a + 1.0 + j) * (j - N))
     return total + term
+
+
+def _hahn_table(p: HahnParams) -> np.ndarray:
+    """Q_r(x; alpha, beta, N) for all r, x = 0..N as ``table[r, x]``.
+
+    One vector step per series term j; only the rows r > j still take
+    terms, so rows r <= j are left as they are.  Every entry repeats
+    ``hahn_eval``'s arithmetic in the same order and equals it bit for bit.
+    """
+    a, b, N = p.alpha, p.beta, p.N
+    r = np.arange(N + 1)
+    x = np.arange(N + 1.0)
+    total = np.zeros((N + 1, N + 1))
+    term = np.ones((N + 1, N + 1))
+    with np.errstate(all="ignore"):  # the scalar series overflows to inf and nan silently too
+        for j in range(N):
+            rr = r[j + 1:]
+            total[j + 1:] += term[j + 1:]
+            term[j + 1:] *= ((j - rr) * (rr + a + b + 1.0 + j))[:, None] * (j - x) / (
+                (j + 1.0) * (a + 1.0 + j) * (j - N))
+        return total + term
 
 
 def _hahn_rec_coeffs(n: int, a: float, b: float, N: int) -> tuple[float, float]:

@@ -3,8 +3,12 @@ import pytest
 from conftest import ALPHA_BETA, assert_mixed_close
 
 from bernjac.bases import TransformParams, bernstein_gram, eval_mod_jacobi
-from bernjac.bernstein_to_jacobi import d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
+from bernjac.bernstein_to_jacobi import _z_entry, d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
 from bernjac.jacobi_to_bernstein import c_direct, c_theorem2
+from bernjac.specialfn import HahnParams, _float_binomials, _poch_ratio, hahn_eval
+
+# weights that put entries past double range, with the acceptance sample's corners
+EXTREME_WEIGHTS = ((0.0, 0.0), (0.5, -0.5), (-0.9, 3.7), (1e10, 0.5), (0.5, 1e200), (1e200, 0.0))
 
 ALL_ROUTES = (d_direct, d_theorem3, d_theorem4, d_oracle)
 
@@ -90,6 +94,46 @@ class TestUFactors:
             C = c_theorem2(p).values
             D = d_theorem4(p).values
             assert_mixed_close(C, uh * D.T, label=f"bridge {p}")
+
+
+def scalar_u_factors(p):
+    """u column by column, one scalar product per entry."""
+    n, k, l, a, b, sig = p.n, p.k, p.l, p.alpha, p.beta, p.sigma
+    m = n - k - l
+    binom_n, binom_m = _float_binomials(n), _float_binomials(m)
+    vals = np.empty((m + 1, m + 1))
+    for s in range(m + 1):
+        h = k + s
+        u = binom_m[s] / binom_n[h] ** 2 * _poch_ratio(
+            [(2.0 * k + 2.0 * l + sig + 1.0, m)],
+            [(a + 2.0 * l + 1.0, n - l - h), (b + 2.0 * k + 1.0, s)],
+        )
+        vals[0, s] = u
+        for r, i in enumerate(range(k + l + 1, n + 1), start=1):
+            if i == k + l + 1:
+                u *= -(i + l + a - k) * (n + i + sig) * (i + k + b - l) / (
+                    (2.0 * i + sig) * (i - k - l) * (i - n - 1.0))
+            else:
+                u *= -(i + l + a - k) * (2.0 * i + a + b - 1.0) * (n + i + sig) * (i + k + b - l) / (
+                    (2.0 * i + sig) * (i - k - l) * (i - n - 1.0) * (i + k + l + a + b))
+            vals[r, s] = u
+    return vals
+
+
+@pytest.mark.parametrize("n", (0, 1, 9, 20))
+def test_whole_matrix_routes_match_scalar_formulas_bitwise(n):
+    # d_direct and u_factors against the per-entry scalar kernel they vectorize
+    for k, l in ((0, 0), (1, 1), (0, 2), (2, 0)):
+        if k + l > n:
+            continue
+        for a, b in EXTREME_WEIGHTS:
+            p = TransformParams(n, k, l, a, b)
+            hp = HahnParams(b + 2.0 * k, a + 2.0 * l, n - k - l)
+            ref = np.array([[_z_entry(p, h, i) * hahn_eval(i - k - l, h - k, hp) for i in p.i_indices()]
+                            for h in p.h_indices()])
+            for got, want in ((d_direct(p).values, ref), (u_factors(p).values, scalar_u_factors(p))):
+                assert got.flags["C_CONTIGUOUS"]
+                assert np.array_equal(got, want, equal_nan=True), p
 
 
 def test_rows_reproduce_bernstein_values():

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,15 @@ class TestCheckCommand:
         assert checks["cross_d"]["passed"] is True
         assert "pair" in checks["cross_c"]["worst"]
         assert "check failed: cross_c" in captured.err
+
+    def test_overflow_past_weight_envelope_reports_without_warnings(self, capsys):
+        # the routes overflow to inf and nan here; the report says so, numpy does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "-n", "12", "--beta", "1e200"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err
+        assert all(line.startswith("check failed:") for line in err)
 
     @pytest.mark.parametrize("flag", ["--alpha=nan", "--beta=inf", "--alpha=-inf"])
     def test_non_finite_weight_is_usage_error(self, flag, capsys):

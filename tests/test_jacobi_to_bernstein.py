@@ -4,6 +4,7 @@ from conftest import ALPHA_BETA, assert_mixed_close
 
 from bernjac.bases import TransformParams, eval_bernstein, BernsteinPoly, eval_mod_jacobi
 from bernjac.jacobi_to_bernstein import c_direct, c_oracle, c_theorem1, c_theorem2
+from bernjac.specialfn import HahnParams, _float_binomials, hahn_eval
 
 ALL_ROUTES = (c_direct, c_theorem1, c_theorem2, c_oracle)
 
@@ -128,6 +129,30 @@ def test_recurrence_step_count_scales_quadratically():
     assert 3.2 <= counts[160] / counts[80] <= 4.8
     t1 = {n: c_theorem1(TransformParams(n, 1, 1)).recurrence_steps for n in (40, 80)}
     assert 3.2 <= t1[80] / t1[40] <= 4.8
+
+
+@pytest.mark.parametrize("n", (0, 1, 9, 20))
+def test_direct_matches_scalar_series_bitwise(n):
+    # the per-entry Hahn-series formula c_direct evaluates for the whole matrix
+    for k, l in ((0, 0), (1, 1), (0, 2), (2, 0)):
+        if k + l > n:
+            continue
+        for a, b in ((0.0, 0.0), (0.5, -0.5), (-0.9, 3.7), (1e10, 0.5), (0.5, 1e200), (1e200, 0.0)):
+            p = TransformParams(n, k, l, a, b)
+            m = n - k - l
+            hp = HahnParams(a + 2.0 * l, b + 2.0 * k, m)
+            binom_n, binom_m = _float_binomials(n), _float_binomials(m)
+            scale = [binom_m[s] / binom_n[k + s] for s in range(m + 1)]
+            ref = np.empty((m + 1, m + 1))
+            pre = 1.0
+            for r in range(m + 1):
+                if r:
+                    pre *= (a + 2.0 * l + r) / r
+                for s in range(m + 1):
+                    ref[r, s] = pre * scale[s] * hahn_eval(r, m - s, hp)
+            values = c_direct(p).values
+            assert values.flags["C_CONTIGUOUS"]
+            assert np.array_equal(values, ref, equal_nan=True), p
 
 
 def test_direct_and_oracle_report_no_steps():

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from conftest import ALPHA_BETA, hahn_series_scale
 
 from bernjac.specialfn import (
     HahnParams,
     _hahn_rec_coeffs,
+    _hahn_table,
     _poch_ratio,
     beta_fn,
     dual_hahn_eval,
@@ -152,6 +154,15 @@ class TestHahnEval:
     def test_degree_beyond_N_rejected(self):
         with pytest.raises(ValueError):
             hahn_eval(3, 1.0, HahnParams(0.0, 0.0, 2))
+
+
+@pytest.mark.parametrize("a", ALPHA_BETA + (1e10,))
+def test_hahn_table_matches_hahn_eval_bitwise(a):
+    for b in ALPHA_BETA:
+        for N in range(21):
+            p = HahnParams(a, b, N)
+            ref = np.array([[hahn_eval(r, float(x), p) for x in range(N + 1)] for r in range(N + 1)])
+            assert np.array_equal(_hahn_table(p), ref, equal_nan=True), (a, b, N)
 
 
 class TestHahnRecurrenceStep:
