@@ -153,9 +153,11 @@ def run_benchmark(n_values, k: int = 1, l: int = 1, alpha: float = 0.0, beta: fl
                   reps: int = 1) -> BenchReport:
     """Time every builder over the requested degrees at fixed (k, l, alpha, beta).
 
-    Per (method, n) the monotonic clock wraps the matrix-build call only;
-    three warm-up builds are discarded first.  Slopes are fitted per method
-    once at least five degrees are present.
+    Per (method, n) the monotonic clock wraps the matrix-build call only.
+    Three warm-up builds per method, at the first degree only (at every
+    degree they would dominate the run for a cubic route at large n), are
+    discarded first.  Slopes are fitted per method once at least five
+    degrees are present.
     """
     if not n_values or len(set(n_values)) != len(n_values) or min(n_values) < 1:
         raise ValueError(f"benchmark requires a nonempty list of distinct degrees >= 1, got {list(n_values)}")
@@ -164,10 +166,10 @@ def run_benchmark(n_values, k: int = 1, l: int = 1, alpha: float = 0.0, beta: fl
     records = []
     for method in BENCH_METHODS:
         build = _builder(*_BENCH_TABLE[method])
+        for _ in range(3):
+            build(TransformParams(n_values[0], k, l, alpha, beta))
         for n in n_values:
             p = TransformParams(n, k, l, alpha, beta)
-            for _ in range(3):
-                build(p)
             total = 0.0
             for _ in range(reps):
                 t0 = perf_counter()

@@ -48,6 +48,8 @@ class ReductionProblem:
                 f"target degree {m} cannot satisfy {self.k}+{self.l} endpoint constraints")
         if m > n:
             raise ValueError(f"target degree {m} exceeds source degree {n}")
+        if not np.all(np.isfinite(self.source.control_points)):
+            raise ValueError("source control points must be finite numbers")
 
 
 @dataclass(frozen=True)
@@ -60,66 +62,35 @@ class ReductionResult:
     discarded: ModJacobiCoeffs
 
 
-def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
-    """Degree-elevate a curve: identical polynomial, more control points.
-
-    One (n+1) x (m+1) product; entry (j, i) is C(m,i) C(n-m,j-i) / C(n,j)."""
-    m, n = curve.degree, to_degree
-    if n < m:
-        raise ValueError(f"cannot elevate degree {m} curve to lower degree {n}")
+def _elevation(m: int, n: int) -> np.ndarray:
+    """(n+1) x (m+1) matrix taking degree-m control points to degree n;
+    entry (j, i) is C(m,i) C(n-m,j-i) / C(n,j)."""
     bm, bd, bn = (np.array(_float_binomials(d)) for d in (m, n - m, n))
     if not np.all(np.isfinite(bn)):
         raise ValueError(f"cannot elevate to degree {n}: its binomial coefficients overflow a double")
     d = np.arange(n + 1)[:, None] - np.arange(m + 1)
-    E = np.where((d >= 0) & (d <= n - m), bm * bd[np.clip(d, 0, n - m)] / bn[:, None], 0.0)
-    return BezierCurve(E @ curve.control_points)
+    return np.where((d >= 0) & (d <= n - m), bm * bd[np.clip(d, 0, n - m)] / bn[:, None], 0.0)
 
 
-def forced_boundary(curve: BezierCurve, m: int, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Control points of a degree-m curve forced by endpoint derivative matching.
-
-    Returns the unique first k and last l control points of any degree-m
-    curve whose derivatives of orders < k at t=0 and < l at t=1 equal the
-    source's.  Derivatives of a Bezier curve are scaled iterated differences
-    of its control points, so the solve is triangular and exact.
-    """
-    n = curve.degree
-    if k + l > m + 1:
-        raise ValueError(f"cannot force {k}+{l} control points of a degree-{m} curve")
-
-    def head_points(pts: np.ndarray, count: int) -> np.ndarray:
-        # iterated forward differences at the left end, rescaled from
-        # degree n to degree m, then re-accumulated into control points
-        diffs = []
-        work = pts[:count].copy()
-        scale = 1.0
-        for r in range(count):
-            if r:
-                scale *= (n - r + 1) / (m - r + 1)
-            diffs.append(work[0] * scale)
-            work = work[1:] - work[:-1]
-        out = np.zeros((count, pts.shape[1]))
-        for j in range(count):
-            acc = np.zeros(pts.shape[1])
-            cjs = 1.0
-            for s in range(j + 1):
-                acc += cjs * diffs[s]
-                cjs *= (j - s) / (s + 1.0)
-            out[j] = acc
-        return out
-
-    return head_points(curve.control_points, k), head_points(curve.control_points[::-1], l)[::-1]
+def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
+    """Degree-elevate a curve: identical polynomial, more control points."""
+    m, n = curve.degree, to_degree
+    if n < m:
+        raise ValueError(f"cannot elevate degree {m} curve to lower degree {n}")
+    return BezierCurve(_elevation(m, n) @ curve.control_points)
 
 
 def reduce(prob: ReductionProblem) -> ReductionResult:
     """L2-optimal constrained degree reduction.
 
-    Pipeline: build a feasible degree-m stub from the forced boundary points,
-    elevate it to degree n, expand the residual in the orthogonal modified
-    Jacobi basis, truncate to indices <= m, map the kept part back to the
-    degree-m Bernstein basis, and add it into the stub's free slots.  The
-    discarded components give the error exactly (Parseval).  At m = n the
-    source is returned unchanged with error 0 and nothing is built.
+    Pipeline: force the stub's first k and last l control points by two
+    triangular solves on corners of the elevation matrix E, so that E @ stub
+    shares the source's derivatives of orders < k at t=0 and < l at t=1;
+    expand the residual in the orthogonal modified Jacobi basis, truncate to
+    indices <= m, map the kept part back to the degree-m Bernstein basis,
+    and add it into the stub's free slots.  The discarded components give
+    the error exactly (Parseval).  At m = n the source is returned unchanged
+    with error 0 and nothing is built.
     """
     p = prob.source
     n, m, k, l = p.degree, prob.target_degree, prob.k, prob.l
@@ -128,15 +99,13 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
         return ReductionResult(BezierCurve(p.control_points.copy()), 0.0,
                                ModJacobiCoeffs(pn, np.zeros((pn.dim, p.dimension))))
 
-    head, tail = forced_boundary(p, m, k, l)
+    P, E = p.control_points, _elevation(m, n)
     stub = np.zeros((m + 1, p.dimension))
-    stub[:k] = head
-    stub[m - l + 1:] = tail
-
-    residual = p.control_points - elevate(BezierCurve(stub), n).control_points
+    stub[:k] = np.linalg.solve(E[:k, :k], P[:k])
+    stub[m - l + 1:] = np.linalg.solve(E[n - l + 1:, m - l + 1:], P[n - l + 1:])
     # the residual satisfies the constraints, so its Bernstein coefficients
     # outside h = k..n-l vanish up to rounding
-    e = residual[k:n - l + 1]
+    e = P[k:n - l + 1] - E[k:n - l + 1] @ stub
     jac = d_theorem4(pn).values.T @ e
 
     kept = m - k - l + 1  # number of indices i = k+l..m

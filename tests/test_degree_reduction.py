@@ -7,7 +7,7 @@ import pytest
 
 from bernjac.bases import BezierCurve, TransformParams, bernstein_gram
 from bernjac.cli import main
-from bernjac.degree_reduction import ReductionProblem, elevate, forced_boundary, reduce
+from bernjac.degree_reduction import ReductionProblem, elevate, reduce
 from bernjac.jacobi_to_bernstein import c_theorem2
 
 
@@ -22,22 +22,34 @@ def elevation_matrix(m: int, n: int) -> np.ndarray:
     return np.array(exact_elevation(m, n), dtype=float)
 
 
+def exact_head(pts: np.ndarray, m: int, count: int) -> np.ndarray:
+    """First ``count`` control points of a degree-m curve whose elevation
+    agrees with ``pts`` there, by exact forward substitution on the lower
+    triangular corner of the elevation matrix, rounded once at the end.  The
+    last points follow from the reversed curve, since that matrix is
+    centrosymmetric."""
+    E = exact_elevation(m, pts.shape[0] - 1)
+    head = []
+    for j in range(count):
+        head.append([(Fraction(pts[j, c]) - sum(E[j][i] * head[i][c] for i in range(j))) / E[j][j]
+                     for c in range(pts.shape[1])])
+    return np.array(head, dtype=float).reshape(count, pts.shape[1])
+
+
 def constrained_ls_reduce(curve: BezierCurve, m: int, k: int, l: int,
                           alpha: float, beta: float) -> BezierCurve:
     """Independent oracle: dense equality-constrained normal equations.
 
-    Parametrizes the reduced curve by its free control points, maps to
-    degree n by explicit elevation, and minimizes the weighted L2 distance
-    through the Beta-function Gram matrix.  No Jacobi machinery involved.
+    Forces the constrained control points exactly, parametrizes the reduced
+    curve by its free control points, maps to degree n by explicit
+    elevation, and minimizes the weighted L2 distance through the
+    Beta-function Gram matrix.  No Jacobi machinery involved.
     """
     n = curve.degree
     G = bernstein_gram(TransformParams(n, 0, 0, alpha, beta))
-    head, tail = forced_boundary(curve, m, k, l)
     stub = np.zeros((m + 1, curve.dimension))
-    if k:
-        stub[:k] = head
-    if l:
-        stub[m - l + 1:] = tail
+    stub[:k] = exact_head(curve.control_points, m, k)
+    stub[m - l + 1:] = exact_head(curve.control_points[::-1], m, l)[::-1]
     E = elevation_matrix(m, n)
     nfree = m - l - (k - 1)
     r = stub.copy()
@@ -54,26 +66,6 @@ def gram_norm(diff_pts: np.ndarray, alpha: float, beta: float) -> float:
     n = diff_pts.shape[0] - 1
     G = bernstein_gram(TransformParams(n, 0, 0, alpha, beta))
     return math.sqrt(max(float(np.sum(diff_pts * (G @ diff_pts))), 0.0))
-
-
-class TestForcedBoundary:
-    def test_position_constraints(self):
-        c = BezierCurve(np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [4.0, 4.0]]))
-        head, tail = forced_boundary(c, 2, 1, 1)
-        np.testing.assert_array_equal(head, [[0.0, 0.0]])
-        np.testing.assert_array_equal(tail, [[4.0, 4.0]])
-
-    def test_tangent_constraint(self):
-        # matching the first derivative forces r_1 = p_0 + (n/m)(p_1 - p_0)
-        c = BezierCurve(np.array([[0.0], [1.0], [3.0], [4.0], [2.0]]))
-        head, _ = forced_boundary(c, 3, 2, 0)
-        assert head[0, 0] == pytest.approx(0.0)
-        assert head[1, 0] == pytest.approx(0.0 + (4.0 / 3.0) * (1.0 - 0.0), rel=1e-14)
-
-    def test_overconstrained_rejected(self):
-        c = BezierCurve(np.zeros((5, 1)))
-        with pytest.raises(ValueError):
-            forced_boundary(c, 2, 2, 2)
 
 
 class TestElevate:
@@ -123,6 +115,11 @@ class TestReduceProblemValidation:
         with pytest.raises(ValueError):
             ReductionProblem(BezierCurve(np.zeros((2, 1))), 1, 2, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_source_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ReductionProblem(BezierCurve(np.array([[bad], [0.0], [1.0]])), 1, 0, 0)
+
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             ReductionProblem(BezierCurve(np.zeros((3, 1))), 1, 0, 0, alpha=-1.0)
@@ -158,6 +155,24 @@ class TestReduceKnownCases:
             assert res.l2_error == 0.0
             assert np.array_equal(res.reduced.control_points, pts)
             assert np.array_equal(res.discarded.coeffs, np.zeros((n - k - l + 1, 3)))
+
+    @pytest.mark.parametrize("pts,m,k,l,forced", [
+        ([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [4.0, 4.0]], 2, 1, 1, {0: [0.0, 0.0], 2: [4.0, 4.0]}),
+        # matching the first derivative forces r_1 = p_0 + (n/m)(p_1 - p_0)
+        ([[0.0], [1.0], [3.0], [4.0], [2.0]], 3, 2, 0, {0: [0.0], 1: [4.0 / 3.0]}),
+    ], ids=["position", "tangent"])
+    def test_forced_points(self, pts, m, k, l, forced):
+        r = reduce(ReductionProblem(BezierCurve(np.array(pts)), m, k, l)).reduced.control_points
+        for i, point in forced.items():
+            np.testing.assert_allclose(r[i], point, rtol=1e-14, atol=1e-15)
+
+    def test_many_forced_points_match_exact_solve(self, rng):
+        # a 15 x 15 corner of the elevation matrix fixes the head
+        for _ in range(5):
+            pts = rng.normal(size=(21, 2))
+            head = reduce(ReductionProblem(BezierCurve(pts), 19, 15, 0)).reduced.control_points[:15]
+            exact = exact_head(pts, 19, 15)
+            assert np.all(np.abs(head - exact) <= 1e-13 * np.maximum(1.0, np.abs(exact)))
 
     def test_cubic_example_matches_ls_oracle(self):
         c = BezierCurve(np.array([0.0, 1.0, -1.0, 0.0]))
