@@ -7,7 +7,7 @@ This namespace is the public contract; helpers are imported from their
 modules, e.g. ``bernjac.bases.bernstein_gram``.
 """
 
-from .bases import BernsteinPoly, BezierCurve, ConnectionMatrix, ModJacobiCoeffs, TransformParams
+from .bases import BezierCurve, ConnectionMatrix, ModJacobiCoeffs, TransformParams
 from .bernstein_to_jacobi import d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
 from .degree_reduction import ReductionProblem, ReductionResult, reduce
 from .jacobi_to_bernstein import c_direct, c_oracle, c_theorem1, c_theorem2
@@ -19,7 +19,6 @@ bernstein_to_jacobi_matrix = d_theorem4
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernsteinPoly",
     "BezierCurve",
     "ConnectionMatrix",
     "ModJacobiCoeffs",

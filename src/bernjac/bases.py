@@ -1,7 +1,8 @@
-"""Polynomial containers and evaluation in the Bernstein and modified Jacobi
-bases of the endpoint-constrained space, plus the exact Beta-function Gram
-matrix that serves as the independent oracle for all orthogonality and
-least-squares claims.
+"""Containers of the endpoint-constrained space (its parameters, connection
+matrices, modified Jacobi coefficients and Bezier curves), point evaluation
+by de Casteljau and of the modified Jacobi basis, plus the exact
+Beta-function Gram matrix that serves as the independent oracle for all
+orthogonality and least-squares claims.
 
 The constrained space of degree <= n holds polynomials whose derivatives of
 order < k vanish at 0 and of order < l vanish at 1; its dimension is
@@ -105,43 +106,6 @@ class ConnectionMatrix:
         return float(self.values[r - rr.start, c - cr.start])
 
 
-def _coerce_coeffs(coeffs, dim: int) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim not in (1, 2) or c.shape[0] != dim:
-        raise ValueError(f"coefficient array must have {dim} rows, got shape {c.shape}")
-    return c
-
-
-@dataclass(frozen=True)
-class BernsteinPoly:
-    """Coefficients relative to B_k^n, ..., B_{n-l}^n.
-
-    ``coeffs[h - k]`` is the coefficient of B_h^n; entries may be scalars or
-    d-vectors (control values of a curve component), in which case all
-    operations apply componentwise.
-    """
-
-    params: TransformParams
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs, self.params.dim))
-
-    def coeff(self, h: int):
-        p = self.params
-        if not p.k <= h <= p.n - p.l:
-            raise IndexError(f"Bernstein index h must lie in [{p.k}, {p.n - p.l}], got {h}")
-        return self.coeffs[h - p.k]
-
-    def full_coeffs(self) -> np.ndarray:
-        """Zero-padded coefficient vector over all indices 0..n."""
-        p = self.params
-        shape = (p.n + 1,) + self.coeffs.shape[1:]
-        full = np.zeros(shape)
-        full[p.k:p.n - p.l + 1] = self.coeffs
-        return full
-
-
 @dataclass(frozen=True)
 class ModJacobiCoeffs:
     """Coefficients relative to the modified Jacobi basis J_{k+l}, ..., J_n."""
@@ -150,22 +114,16 @@ class ModJacobiCoeffs:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs, self.params.dim))
+        c = np.asarray(self.coeffs, dtype=float)
+        if c.ndim not in (1, 2) or c.shape[0] != self.params.dim:
+            raise ValueError(f"coefficient array must have {self.params.dim} rows, got shape {c.shape}")
+        object.__setattr__(self, "coeffs", c)
 
     def coeff(self, i: int):
         p = self.params
         if not p.k + p.l <= i <= p.n:
             raise IndexError(f"modified Jacobi index i must lie in [{p.k + p.l}, {p.n}], got {i}")
         return self.coeffs[i - p.k - p.l]
-
-    def evaluate(self, x: float):
-        """Pointwise value of the represented polynomial."""
-        p = self.params
-        acc = None
-        for i in p.i_indices():
-            v = self.coeffs[i - p.k - p.l] * eval_mod_jacobi(i, p, x)
-            acc = v if acc is None else acc + v
-        return acc
 
 
 @dataclass(frozen=True)
@@ -208,11 +166,6 @@ def de_casteljau(coeffs: np.ndarray, x: float):
     for r in range(n):
         b = (1.0 - x) * b[:n - r] + x * b[1:n - r + 1]
     return b[0]
-
-
-def eval_bernstein(p: BernsteinPoly, x: float):
-    """Value of a constrained Bernstein expansion at x (scalar or d-vector)."""
-    return de_casteljau(p.full_coeffs(), x)
 
 
 def eval_shifted_jacobi(i: int, alpha: float, beta: float, x: float) -> float:

@@ -27,25 +27,6 @@ from .bases import ConnectionMatrix, TransformParams
 from .specialfn import HahnParams, _float_binomials, _hahn_table, _poch_ratio, gen_binomial
 
 
-def _z_entry(p: TransformParams, h: int, i: int) -> float:
-    """Product-formula value of the z factor for one (h, i) pair; the
-    scalar reference of ``d_direct``'s z.
-
-    The (2i+sigma) numerator cancels the leading denominator pochhammer
-    factor exactly at i = k+l, which keeps the expression finite when
-    sigma = 0 (possible only for k = l = 0).
-    """
-    n, k, l = p.n, p.k, p.l
-    a, b, sig = p.alpha, p.beta, p.sigma
-    m = n - k - l
-    ratio0 = 1.0 if i == k + l else (2.0 * i + sig) / (i + k + l + sig)
-    body = _poch_ratio(
-        [(k + l - n, i - k - l), (a + 2.0 * l + 1.0, n - l - h), (b + 2.0 * k + 1.0, h - k)],
-        [(a + 2.0 * l + 1.0, i - k - l), (i + k + l + sig + 1.0, m)],
-    )
-    return float(math.comb(n, h)) * ratio0 * body
-
-
 def _z_lane_ratio(p: TransformParams, i: int) -> float:
     """Ratio z[h][i] / z[h][i-1]; independent of h.
 
@@ -79,8 +60,9 @@ def d_direct(p: TransformParams) -> ConnectionMatrix:
     """z-product times Hahn-series w (cubic-cost reference).
 
     Both factors are evaluated for the whole matrix at once, each entry
-    with the scalar arithmetic of ``_z_entry`` and ``hahn_eval`` in the
-    same order, so the cost stays O(n^3).  Of the factor pairs of z[h][i],
+    with the arithmetic of the scalar z product formula and ``hahn_eval``
+    in the same order (``tests/test_bernstein_to_jacobi.py`` keeps that
+    scalar form as the bitwise reference), so the cost stays O(n^3).  Of the factor pairs of z[h][i],
     the first i-k-l depend on i alone and form a running prefix; each of
     the remaining m takes its numerator from h and its denominator from i,
     so one vector step per pair position advances every entry.

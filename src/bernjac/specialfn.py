@@ -1,11 +1,12 @@
 """Scalar special-function kernel.
 
 Rising factorials, generalized binomial coefficients, the Beta function,
-and Hahn / dual Hahn polynomial evaluation, plus a whole-table form of the
-Hahn series for the cubic-cost reference routes.  The recurrence-based
-matrix builders in the transform modules never touch the gamma function;
-everything gamma-flavoured here exists for the cubic-cost reference
-formulas and the exact Gram-matrix oracle.
+and Hahn / dual Hahn polynomial evaluation by their terminating series,
+plus a whole-table form of the Hahn series for the cubic-cost reference
+routes.  The three-term recurrences live in the matrix builders of the
+transform modules, which never touch the gamma function; everything
+gamma-flavoured here exists for the cubic-cost reference formulas and the
+exact Gram-matrix oracle.
 """
 
 from __future__ import annotations
@@ -108,31 +109,6 @@ def _hahn_table(p: HahnParams) -> np.ndarray:
             term[j + 1:] *= ((j - rr) * (rr + a + b + 1.0 + j))[:, None] * (j - x) / (
                 (j + 1.0) * (a + 1.0 + j) * (j - N))
         return total + term
-
-
-def _hahn_rec_coeffs(n: int, a: float, b: float, N: int) -> tuple[float, float]:
-    # A_0 carries a removable (a+b+1) factor shared with its denominator;
-    # the cancelled form stays finite when a+b+1 == 0.
-    if n == 0:
-        return (a + 1.0) * N / (a + b + 2.0), 0.0
-    A = (n + a + b + 1.0) * (n + a + 1.0) * (N - n) / ((2.0 * n + a + b + 1.0) * (2.0 * n + a + b + 2.0))
-    C = n * (n + a + b + N + 1.0) * (n + b) / ((2.0 * n + a + b) * (2.0 * n + a + b + 1.0))
-    return A, C
-
-
-def hahn_recurrence_step(n: int, x: float, p: HahnParams, q_n: float, q_prev: float) -> float:
-    """Advance the Hahn three-term recurrence one degree.
-
-    Given Q_n(x) and Q_{n-1}(x), returns Q_{n+1}(x); q_prev is ignored for
-    n = 0.
-    """
-    if not 0 <= n < p.N:
-        raise ValueError(f"recurrence step requires 0 <= n < N, got n={n}, N={p.N}")
-    A, C = _hahn_rec_coeffs(n, p.alpha, p.beta, p.N)
-    assert A != 0.0, "Hahn recurrence coefficient A_n vanished inside its valid domain"
-    if n == 0:
-        return (A + C - x) * q_n / A
-    return ((A + C - x) * q_n - C * q_prev) / A
 
 
 def dual_hahn_eval(n: int, x: int, p: HahnParams) -> float:

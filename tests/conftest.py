@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from bernjac.specialfn import HahnParams
+
 # mixed-tolerance policy used by every cross-route comparison
 ATOL = 1e-12
 RTOL = 1e-9
@@ -37,6 +39,31 @@ def hahn_series_scale(n: int, x: float, alpha: float, beta: float, N: int) -> fl
             (j + 1.0) * (alpha + 1.0 + j) * (j - N))
         total += term
     return total
+
+
+def _hahn_rec_coeffs(n: int, a: float, b: float, N: int) -> tuple[float, float]:
+    # A_0 carries a removable (a+b+1) factor shared with its denominator;
+    # the cancelled form stays finite when a+b+1 == 0.
+    if n == 0:
+        return (a + 1.0) * N / (a + b + 2.0), 0.0
+    A = (n + a + b + 1.0) * (n + a + 1.0) * (N - n) / ((2.0 * n + a + b + 1.0) * (2.0 * n + a + b + 2.0))
+    C = n * (n + a + b + N + 1.0) * (n + b) / ((2.0 * n + a + b) * (2.0 * n + a + b + 1.0))
+    return A, C
+
+
+def hahn_recurrence_step(n: int, x: float, p: HahnParams, q_n: float, q_prev: float) -> float:
+    """Advance the Hahn three-term recurrence one degree.
+
+    Given Q_n(x) and Q_{n-1}(x), returns Q_{n+1}(x); q_prev is ignored for
+    n = 0.
+    """
+    if not 0 <= n < p.N:
+        raise ValueError(f"recurrence step requires 0 <= n < N, got n={n}, N={p.N}")
+    A, C = _hahn_rec_coeffs(n, p.alpha, p.beta, p.N)
+    assert A != 0.0, "Hahn recurrence coefficient A_n vanished inside its valid domain"
+    if n == 0:
+        return (A + C - x) * q_n / A
+    return ((A + C - x) * q_n - C * q_prev) / A
 
 
 @pytest.fixture

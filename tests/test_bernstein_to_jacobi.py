@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import ALPHA_BETA, assert_mixed_close
 
 from bernjac.bases import TransformParams, bernstein_gram, eval_mod_jacobi
-from bernjac.bernstein_to_jacobi import _z_entry, d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
+from bernjac.bernstein_to_jacobi import d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
 from bernjac.jacobi_to_bernstein import c_direct, c_theorem2
 from bernjac.specialfn import HahnParams, _float_binomials, _poch_ratio, hahn_eval
 
@@ -94,6 +96,25 @@ class TestUFactors:
             C = c_theorem2(p).values
             D = d_theorem4(p).values
             assert_mixed_close(C, uh * D.T, label=f"bridge {p}")
+
+
+def _z_entry(p: TransformParams, h: int, i: int) -> float:
+    """Product-formula value of the z factor for one (h, i) pair; the
+    scalar reference of ``d_direct``'s z.
+
+    The (2i+sigma) numerator cancels the leading denominator pochhammer
+    factor exactly at i = k+l, which keeps the expression finite when
+    sigma = 0 (possible only for k = l = 0).
+    """
+    n, k, l = p.n, p.k, p.l
+    a, b, sig = p.alpha, p.beta, p.sigma
+    m = n - k - l
+    ratio0 = 1.0 if i == k + l else (2.0 * i + sig) / (i + k + l + sig)
+    body = _poch_ratio(
+        [(k + l - n, i - k - l), (a + 2.0 * l + 1.0, n - l - h), (b + 2.0 * k + 1.0, h - k)],
+        [(a + 2.0 * l + 1.0, i - k - l), (i + k + l + sig + 1.0, m)],
+    )
+    return float(math.comb(n, h)) * ratio0 * body
 
 
 def scalar_u_factors(p):

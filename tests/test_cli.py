@@ -104,6 +104,13 @@ class TestMatrixCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_binomial_past_double_range_exit_2_no_file(self, tmp_path, capsys):
+        # C(2100, 1050) does not fit a double
+        out = tmp_path / "never.csv"
+        assert main(["matrix", "c", "-n", "2100", "-k", "1050", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestReduceCommand:
     def write_curve(self, tmp_path, pts):
@@ -163,6 +170,14 @@ class TestReduceCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_weight_exit_2_no_file(self, tmp_path, capsys):
+        # the Gram matrix's log-gamma overflows at alpha = 1e308
+        src = self.write_curve(tmp_path, [0.0, 1.0, 2.0, 3.0])
+        out = tmp_path / "never.json"
+        assert main(["reduce", "--in", str(src), "-m", "2", "--alpha", "1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("pts", [[0.0, float("nan"), 1.0], [0.0, float("inf"), 1.0]])
     def test_non_finite_control_points_rejected(self, tmp_path, pts):
         src = self.write_curve(tmp_path, pts)
@@ -198,6 +213,13 @@ class TestBenchCommand:
         rc = main(["bench", "--n-list", n_list, "--out", str(out)])
         assert rc == 2
         assert "distinct degrees >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_weight_exit_2_no_file(self, tmp_path, capsys):
+        # the closed-form routes' log-gamma overflows at alpha = 1e308
+        out = tmp_path / "never.csv"
+        assert main(["bench", "--n-list", "3", "--alpha", "1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
     def test_run_benchmark_slopes_need_five_degrees(self):
@@ -294,6 +316,15 @@ class TestCheckCommand:
         err = capsys.readouterr().err.splitlines()
         assert err
         assert all(line.startswith("check failed:") for line in err)
+
+    def test_overflowing_weight_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # c_oracle's log-gamma overflows at beta = 1e308
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "-n", "3", "--beta", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--alpha=nan", "--beta=inf", "--alpha=-inf"])
     def test_non_finite_weight_is_usage_error(self, flag, capsys):

@@ -2,18 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, hahn_series_scale
+from conftest import ALPHA_BETA, _hahn_rec_coeffs, hahn_recurrence_step, hahn_series_scale
 
 from bernjac.specialfn import (
     HahnParams,
-    _hahn_rec_coeffs,
     _hahn_table,
     _poch_ratio,
     beta_fn,
     dual_hahn_eval,
     gen_binomial,
     hahn_eval,
-    hahn_recurrence_step,
     pochhammer,
 )
 
