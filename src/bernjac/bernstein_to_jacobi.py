@@ -2,14 +2,15 @@
 polynomial in the modified Jacobi basis.
 
 Every entry factors as d = z * w, where z is a pure product of parameter
-ratios and w a Hahn polynomial value.  The recurrence routes advance z by a
-one-term ratio and w by a three-term relation, keeping only the previous
-lane values, so memory beyond the output stays O(n):
+ratios and w a Hahn polynomial value.  The step of z over i does not depend
+on h, so z is rank one, zh[h] * zi[i]; the recurrence routes build it once as
+that outer product and advance only w, by a three-term relation, keeping all
+of w in an (m+1) x (m+1) table beside the output (m = n-k-l):
 
 * ``d_direct``   -- z by its product formula, w by the Hahn series, the whole
   matrix at once; O(n^3).
-* ``d_theorem3`` -- lanes of fixed h, advancing over i; O(n^2).
-* ``d_theorem4`` -- lanes of fixed i, advancing over h; O(n^2); the
+* ``d_theorem3`` -- w in lanes of fixed h, advancing over i; O(n^2).
+* ``d_theorem4`` -- w in lanes of fixed i, advancing over h; O(n^2); the
   production route, fastest in practice.
 * ``d_oracle``   -- closed-form literature formula, gamma-based; O(n^3),
   highest-trust reference.
@@ -27,33 +28,32 @@ from .bases import ConnectionMatrix, TransformParams
 from .specialfn import HahnParams, _float_binomials, _hahn_table, _poch_ratio, gen_binomial
 
 
-def _z_lane_ratio(p: TransformParams, i: int) -> float:
-    """Ratio z[h][i] / z[h][i-1]; independent of h.
-
-    At i = k+l+1 the bracketed factors (i+k+l+alpha+beta) and
-    (2i+alpha+beta-1) coincide and are cancelled symbolically.
-    """
+def _z_outer(p: TransformParams) -> np.ndarray:
+    """The z factor of every entry, z[h][i] = zh[h] * zi[i]: zh advances by
+    its h-ratio from 1, zi by its i-ratio from z[k][k+l]."""
     n, k, l = p.n, p.k, p.l
     a, b, sig = p.alpha, p.beta, p.sigma
-    if i == k + l + 1:
-        return (2.0 * i + sig) * (i - n - 1.0) / ((a + l + i - k) * (i + n + sig))
-    return (2.0 * i + sig) * (i + k + l + a + b) * (i - n - 1.0) / (
-        (a + l + i - k) * (i + n + sig) * (2.0 * i + a + b - 1.0))
-
-
-def _z_first_column(p: TransformParams) -> list[float]:
-    """z[h][k+l] for all h, i.e. the i-seed of every h-lane."""
-    n, k, l, a, b = p.n, p.k, p.l, p.alpha, p.beta
     m = n - k - l
+    zh = [1.0] * (m + 1)
+    for s in range(1, m + 1):
+        h = k + s
+        zh[s] = zh[s - 1] * (n + 1.0 - h) * (b + k + h) / (h * (a + l + n + 1.0 - h))
     z = float(math.comb(n, k)) * _poch_ratio(
         [(a + 2.0 * l + 1.0, n - l - k)],
-        [(2.0 * k + 2.0 * l + p.sigma + 1.0, m)],
+        [(2.0 * k + 2.0 * l + sig + 1.0, m)],
     )
-    out = [z]
-    for h in range(k, n - l):
-        z *= (n - h) * (b + k + h + 1.0) / ((h + 1.0) * (a + l + n - h))
-        out.append(z)
-    return out
+    zi = [z]
+    for i in range(k + l + 1, n + 1):
+        # At i = k+l+1 the bracketed factors (i+k+l+alpha+beta) and
+        # (2i+alpha+beta-1) coincide and are cancelled symbolically; they
+        # are 0/0 at k = l = 0, alpha + beta = -1.
+        if i == k + l + 1:
+            z *= (2.0 * i + sig) * (i - n - 1.0) / ((a + l + i - k) * (i + n + sig))
+        else:
+            z *= (2.0 * i + sig) * (i + k + l + a + b) * (i - n - 1.0) / (
+                (a + l + i - k) * (i + n + sig) * (2.0 * i + a + b - 1.0))
+        zi.append(z)
+    return np.outer(zh, zi)
 
 
 def d_direct(p: TransformParams) -> ConnectionMatrix:
@@ -94,76 +94,56 @@ def d_direct(p: TransformParams) -> ConnectionMatrix:
 
 
 def d_theorem3(p: TransformParams) -> ConnectionMatrix:
-    """Fixed-h lanes advanced over i: w by the three-term relation seeded at
-    i = k+l, k+l+1, z by the one-term ratio from its first-column value."""
+    """Fixed-h lanes of w advanced over i by the three-term relation seeded
+    at i = k+l, k+l+1."""
     n, k, l = p.n, p.k, p.l
     a, b, sig = p.alpha, p.beta, p.sigma
     m = n - k - l
-    zseed = _z_first_column(p)
-    rows = [[0.0] * (m + 1) for _ in range(m + 1)]
-    w2 = [1.0] * (m + 1)
-    for s in range(m + 1):
-        rows[s][0] = zseed[s]
-    steps = 0
-    zprod = 1.0
+    cols = [[1.0] * (m + 1)]
     if m >= 1:
-        zprod = _z_lane_ratio(p, k + l + 1)
         cw = (2.0 * k + 2.0 * l + sig + 1.0) / ((k + l - n) * (b + 2.0 * k + 1.0))
-        w1 = [1.0 + s * cw for s in range(m + 1)]
-        for s in range(m + 1):
-            rows[s][1] = zseed[s] * zprod * w1[s]
+        cols.append([1.0 + s * cw for s in range(m + 1)])
     for i in range(k + l + 2, n + 1):
-        zprod *= _z_lane_ratio(p, i)
         S = (i - k - l - 1.0) * (i + b + a + n) * (i + l + a - k - 1.0) * (2.0 * i + b + a) / (
             (2.0 * i + b + a - 2.0) * (i + k + l + b + a) * (i + k + b - l) * (i - n - 1.0))
         pslope = (2.0 * i + a + b - 1.0) * (2.0 * i + a + b) / (
             (i + k + l + a + b) * (i + k + b - l) * (i - n - 1.0))
-        col = i - k - l
-        w0 = [0.0] * (m + 1)
-        for s in range(m + 1):
-            wv = (1.0 - S + s * pslope) * w1[s] + S * w2[s]
-            w0[s] = wv
-            rows[s][col] = zseed[s] * zprod * wv
-        steps += m + 1
-        w2, w1 = w1, w0
-    return ConnectionMatrix(p, np.array(rows), "h", recurrence_steps=steps)
+        c0 = 1.0 - S
+        cols.append([(c0 + s * pslope) * w1 + S * w2 for s, w1, w2 in zip(range(m + 1), cols[-1], cols[-2])])
+    with np.errstate(all="ignore"):
+        values = _z_outer(p)
+        values *= np.array(cols).T
+    return ConnectionMatrix(p, values, "h", recurrence_steps=(m + 1) * max(0, m - 1))
 
 
 def d_theorem4(p: TransformParams) -> ConnectionMatrix:
-    """Fixed-i lanes advanced over h: the production route."""
+    """Fixed-i lanes of w advanced over h: the production route."""
     n, k, l = p.n, p.k, p.l
     a, b, sig = p.alpha, p.beta, p.sigma
     m = n - k - l
-    # h-dependent pieces shared across lanes; index s = h - k
-    zcol = [1.0] * (m + 1)
-    for s in range(1, m + 1):
-        h = k + s
-        zcol[s] = zcol[s - 1] * (n + 1.0 - h) * (b + k + h) / (h * (a + l + n + 1.0 - h))
-    vcoef = [0.0] * (m + 1)
-    invden = [0.0] * (m + 1)
-    for s in range(2, m + 1):
-        h = k + s
+    # h-dependent coefficients shared across lanes, for h = k+2 .. n-l
+    vcoef, invden = [], []
+    for h in range(k + 2, n - l + 1):
         den = (h + k + b) * (h + l - n - 1.0)
-        vcoef[s] = (h - k - 1.0) * (l + n + a + 2.0 - h) / den
-        invden[s] = 1.0 / den
-    zrow = _z_first_column(p)[0]
-    rows = [[0.0] * (m + 1) for _ in range(m + 1)]
-    steps = 0
-    for col, i in enumerate(range(k + l, n + 1)):
-        if col:
-            zrow *= _z_lane_ratio(p, i)
+        vcoef.append((h - k - 1.0) * (l + n + a + 2.0 - h) / den)
+        invden.append(1.0 / den)
+    cols = []
+    for i in range(k + l, n + 1):
         wfac = (i - k - l) * (i + k + l + sig)
         w2 = 1.0
-        rows[0][col] = zrow
+        col = [w2]
         if m >= 1:
             w1 = 1.0 + wfac / ((b + 2.0 * k + 1.0) * (k + l - n))
-            rows[1][col] = zrow * zcol[1] * w1
-            for s in range(2, m + 1):
-                w0 = (1.0 - vcoef[s] + wfac * invden[s]) * w1 + vcoef[s] * w2
-                rows[s][col] = zrow * zcol[s] * w0
+            col.append(w1)
+            for v, inv in zip(vcoef, invden):
+                w0 = (1.0 - v + wfac * inv) * w1 + v * w2
+                col.append(w0)
                 w2, w1 = w1, w0
-            steps += max(0, m - 1)
-    return ConnectionMatrix(p, np.array(rows), "h", recurrence_steps=steps)
+        cols.append(col)
+    with np.errstate(all="ignore"):
+        values = _z_outer(p)
+        values *= np.array(cols).T
+    return ConnectionMatrix(p, values, "h", recurrence_steps=(m + 1) * max(0, m - 1))
 
 
 def d_oracle(p: TransformParams) -> ConnectionMatrix:

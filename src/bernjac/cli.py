@@ -348,7 +348,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except OverflowError as exc:
+        print(f"error: arithmetic overflows a double: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

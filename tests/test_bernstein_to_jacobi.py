@@ -5,7 +5,7 @@ import pytest
 from conftest import ALPHA_BETA, assert_mixed_close
 
 from bernjac.bases import TransformParams, bernstein_gram, eval_mod_jacobi
-from bernjac.bernstein_to_jacobi import d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
+from bernjac.bernstein_to_jacobi import _z_outer, d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
 from bernjac.jacobi_to_bernstein import c_direct, c_theorem2
 from bernjac.specialfn import HahnParams, _float_binomials, _poch_ratio, hahn_eval
 
@@ -157,6 +157,21 @@ def test_whole_matrix_routes_match_scalar_formulas_bitwise(n):
                 assert np.array_equal(got, want, equal_nan=True), p
 
 
+@pytest.mark.parametrize("a", ALPHA_BETA)
+@pytest.mark.parametrize("b", ALPHA_BETA)
+def test_z_outer_matches_scalar_z_entry(a, b):
+    # the grid holds m = 0 and m = 1, and (-0.5, -0.5) at k = l = 0, where the
+    # i-ratio's cancelled bracket at i = 1 would be 0/0
+    for n in (1, 2, 5, 12, 20):
+        for k in (0, 1, 2):
+            for l in (0, 1, 2):
+                if k + l > n:
+                    continue
+                p = TransformParams(n, k, l, a, b)
+                ref = [[_z_entry(p, h, i) for i in p.i_indices()] for h in p.h_indices()]
+                np.testing.assert_allclose(_z_outer(p), ref, rtol=1e-13, atol=0.0, err_msg=str(p))
+
+
 def test_rows_reproduce_bernstein_values():
     import math
     xs = np.linspace(0.0, 1.0, 40)
@@ -195,6 +210,11 @@ def test_recurrence_step_counts():
     s40 = d_theorem4(TransformParams(40, 1, 1)).recurrence_steps
     s80 = d_theorem4(TransformParams(80, 1, 1)).recurrence_steps
     assert 3.2 <= s80 / s40 <= 4.8
+    # (m + 1) lanes of m - 1 three-term steps each, past the two seeds
+    for m in (0, 1, 2, 9):
+        p = TransformParams(m + 2, 1, 1)
+        for route in (d_theorem3, d_theorem4):
+            assert route(p).recurrence_steps == (m + 1) * max(0, m - 1), (route.__name__, m)
 
 
 def test_index_bounds():

@@ -17,6 +17,9 @@ from bernjac.bernstein_to_jacobi import d_oracle
 from bernjac.cli import BENCH_METHODS, main, matrix_csv, run_benchmark
 from bernjac.jacobi_to_bernstein import c_oracle
 
+# what main prints for an OverflowError escaping the library
+OVERFLOW_ERROR = "error: arithmetic overflows a double: "
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -108,7 +111,7 @@ class TestMatrixCommand:
         # C(2100, 1050) does not fit a double
         out = tmp_path / "never.csv"
         assert main(["matrix", "c", "-n", "2100", "-k", "1050", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(OVERFLOW_ERROR)
         assert not out.exists()
 
 
@@ -175,7 +178,7 @@ class TestReduceCommand:
         src = self.write_curve(tmp_path, [0.0, 1.0, 2.0, 3.0])
         out = tmp_path / "never.json"
         assert main(["reduce", "--in", str(src), "-m", "2", "--alpha", "1e308", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(OVERFLOW_ERROR)
         assert not out.exists()
 
     @pytest.mark.parametrize("pts", [[0.0, float("nan"), 1.0], [0.0, float("inf"), 1.0]])
@@ -219,7 +222,7 @@ class TestBenchCommand:
         # the closed-form routes' log-gamma overflows at alpha = 1e308
         out = tmp_path / "never.csv"
         assert main(["bench", "--n-list", "3", "--alpha", "1e308", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(OVERFLOW_ERROR)
         assert not out.exists()
 
     def test_run_benchmark_slopes_need_five_degrees(self):
@@ -322,7 +325,7 @@ class TestCheckCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["check", "-n", "3", "--beta", "1e308"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith(OVERFLOW_ERROR)
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
