@@ -127,8 +127,8 @@ def d_theorem4(p: TransformParams) -> ConnectionMatrix:
         den = (h + k + b) * (h + l - n - 1.0)
         vcoef.append((h - k - 1.0) * (l + n + a + 2.0 - h) / den)
         invden.append(1.0 / den)
-    cols = []
-    for i in range(k + l, n + 1):
+    lanes = np.empty((m + 1, m + 1))  # row j holds the w lane of i = k+l+j
+    for j, i in enumerate(range(k + l, n + 1)):
         wfac = (i - k - l) * (i + k + l + sig)
         w2 = 1.0
         col = [w2]
@@ -139,10 +139,10 @@ def d_theorem4(p: TransformParams) -> ConnectionMatrix:
                 w0 = (1.0 - v + wfac * inv) * w1 + v * w2
                 col.append(w0)
                 w2, w1 = w1, w0
-        cols.append(col)
+        lanes[j] = col
     with np.errstate(all="ignore"):
         values = _z_outer(p)
-        values *= np.array(cols).T
+        values *= lanes.T
     return ConnectionMatrix(p, values, "h", recurrence_steps=(m + 1) * max(0, m - 1))
 
 

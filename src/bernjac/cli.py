@@ -48,12 +48,14 @@ def _builder(direction: str, method: str):
     return getattr(module, table[method])
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Call ``write(fh)`` on a temp file beside ``path``, then rename it
+    over ``path``; on any failure the temp file is removed."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bernjac-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -65,16 +67,16 @@ def _atomic_write(path: str, text: str) -> None:
 # matrix
 
 
-def matrix_csv(mat) -> str:
-    """CSV form of a connection matrix, shortest round-trip decimals.
+def matrix_csv(mat, fh) -> None:
+    """Write the CSV form of a connection matrix to ``fh``, shortest
+    round-trip decimals, one row at a time.
 
     The corner cell names the row and column indices: `i\\h` for rows i,
     `h\\i` for rows h.
     """
-    lines = [",".join([f"{mat.rows}\\{mat.cols}"] + [str(c) for c in mat.indices(mat.cols)])]
-    for label, row in zip(mat.indices(mat.rows), mat.values.tolist()):
-        lines.append(",".join([str(label), *map(repr, row)]))
-    return "\n".join(lines) + "\n"
+    fh.write(",".join([f"{mat.rows}\\{mat.cols}"] + [str(c) for c in mat.indices(mat.cols)]) + "\n")
+    for label, row in zip(mat.indices(mat.rows), mat.values):
+        fh.write(",".join([str(label), *map(repr, row.tolist())]) + "\n")
 
 
 def _require_finite(what: str, *arrays) -> None:
@@ -86,7 +88,7 @@ def _cmd_matrix(args) -> int:
     p = TransformParams(args.n, args.k, args.l, args.alpha, args.beta)
     mat = _builder(args.direction, _PRODUCTION[args.direction])(p)
     _require_finite("matrix", mat.values)
-    _atomic_write(args.out, matrix_csv(mat))
+    _atomic_write(args.out, lambda fh: matrix_csv(mat, fh))
     return 0
 
 
@@ -115,7 +117,7 @@ def _cmd_reduce(args) -> int:
             "coefficients": [[float(v) for v in row] for row in res.discarded.coeffs],
         },
     }
-    _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    _atomic_write(args.out, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
     print(res.l2_error)
     return 0
 
@@ -197,7 +199,7 @@ def bench_csv(report: BenchReport) -> str:
 def _cmd_bench(args) -> int:
     n_values = [int(v) for v in args.n_list.split(",") if v.strip()]
     report = run_benchmark(n_values, k=args.k, l=args.l, alpha=args.alpha, beta=args.beta, reps=args.reps)
-    _atomic_write(args.out, bench_csv(report))
+    _atomic_write(args.out, lambda fh: fh.write(bench_csv(report)))
     for method, slope in report.slopes.items():
         print(f"{method} slope {slope:.3f}")
     return 0

@@ -101,8 +101,10 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
 
     P, E = p.control_points, _elevation(m, n)
     stub = np.zeros((m + 1, p.dimension))
-    stub[:k] = np.linalg.solve(E[:k, :k], P[:k])
-    stub[m - l + 1:] = np.linalg.solve(E[n - l + 1:, m - l + 1:], P[n - l + 1:])
+    if k:
+        stub[:k] = np.linalg.solve(E[:k, :k], P[:k])
+    if l:
+        stub[m - l + 1:] = np.linalg.solve(E[n - l + 1:, m - l + 1:], P[n - l + 1:])
     # the residual satisfies the constraints, so its Bernstein coefficients
     # outside h = k..n-l vanish up to rounding
     e = P[k:n - l + 1] - E[k:n - l + 1] @ stub

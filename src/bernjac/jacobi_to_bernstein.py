@@ -98,22 +98,23 @@ def c_theorem2(p: TransformParams) -> ConnectionMatrix:
     for s in range(m):
         h = k + s
         row0[s + 1] = row0[s] * (h + 1.0) * (n - l - h) / ((n - h) * (h + 1.0 - k))
-    rows = [row0]
+    values = np.empty((m + 1, m + 1))
+    values[0] = prev1 = row0
     if m >= 1:
         cfac = (sig + 2.0 * k + 2.0 * l + 1.0) / (k + l - n)
-        rows.append([row0[s] * (a + 2.0 * l + 1.0 - cfac * (l + k + s - n)) for s in range(m + 1)])
-    for i in range(k + l + 2, n + 1):
+        prev2, prev1 = prev1, [row0[s] * (a + 2.0 * l + 1.0 - cfac * (l + k + s - n)) for s in range(m + 1)]
+        values[1] = prev1
+    for r, i in enumerate(range(k + l + 2, n + 1), start=2):
         M = (i - k - l - 1.0) * (n + i + a + b) * (i + k + b - l - 1.0) * (2.0 * i + a + b) / (
             (2.0 * i + a + b - 2.0) * (i + k + l + a + b) * (i + l + a - k) * (i - n - 1.0))
         L = (a + l + i - k - 1.0) * (a + l + i - k) / ((i - k - l - 1.0) * (i - k - l)) * M
         kbase = (a + l + i - k) * (1.0 - M) / (i - k - l)
         kslope = (2.0 * i + a + b - 1.0) * (2.0 * i + a + b) / (
             (i - k - l) * (i + k + l + a + b) * (i - n - 1.0))
-        prev1 = rows[-1]
-        prev2 = rows[-2]
-        rows.append([(kbase - (s - m) * kslope) * prev1[s] + L * prev2[s] for s in range(m + 1)])
+        prev2, prev1 = prev1, [(kbase - (s - m) * kslope) * prev1[s] + L * prev2[s] for s in range(m + 1)]
+        values[r] = prev1
         steps += m + 1
-    return ConnectionMatrix(p, np.array(rows), "i", recurrence_steps=steps)
+    return ConnectionMatrix(p, values, "i", recurrence_steps=steps)
 
 
 def c_oracle(p: TransformParams) -> ConnectionMatrix:

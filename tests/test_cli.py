@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ from conftest import assert_mixed_close
 
 import bernjac
 import bernjac.bernstein_to_jacobi as b2j
+import bernjac.cli as cli
 import bernjac.degree_reduction as dred
 import bernjac.jacobi_to_bernstein as j2b
 from bernjac.bases import TransformParams
@@ -66,7 +69,9 @@ class TestMatrixCommand:
         out = tmp_path / "m.csv"
         assert main(["matrix", direction, "-n", "7", "-k", "1", "-l", "2",
                      "--alpha", "0.5", "--beta", "-0.5", "--out", str(out)]) == 0
-        assert out.read_text() == matrix_csv(build(TransformParams(7, 1, 2, 0.5, -0.5)))
+        buf = io.StringIO()
+        matrix_csv(build(TransformParams(7, 1, 2, 0.5, -0.5)), buf)
+        assert out.read_text() == buf.getvalue()
 
     def test_invalid_params_exit_2_no_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
@@ -113,6 +118,38 @@ class TestMatrixCommand:
         assert main(["matrix", "c", "-n", "2100", "-k", "1050", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(OVERFLOW_ERROR)
         assert not out.exists()
+
+    def test_write_failing_after_header_exit_2_no_file(self, tmp_path, monkeypatch, capsys):
+        class FullAfterHeader:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                if self.writes:
+                    raise OSError(28, "No space left on device")
+                self.writes += 1
+                return self.fh.write(text)
+
+        real = cli.matrix_csv
+        monkeypatch.setattr(cli, "matrix_csv", lambda mat, fh: real(mat, FullAfterHeader(fh)))
+        out = tmp_path / "never.csv"
+        assert main(["matrix", "d", "-n", "6", "-k", "1", "-l", "1", "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # neither --out nor a .bernjac-* temp file
+
+    @pytest.mark.parametrize("direction", ["c", "d"])
+    def test_peak_memory_stays_near_one_matrix(self, tmp_path, direction):
+        n, k, l = 400, 1, 1
+        argv = ["matrix", direction, "-n", str(n), "-k", str(k), "-l", str(l), "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 0  # warm-up: parser and lazily built state
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = (n - k - l + 1) ** 2 * 8
+        assert peak < 4 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the matrix"
 
 
 class TestReduceCommand:
