@@ -10,6 +10,7 @@ and truncating; the two connection-coefficient matrices do all the work.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,8 +55,10 @@ class ReductionProblem:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """Reduced curve, its exact weighted-L2 error, and the discarded
-    orthogonal components (zero for indices <= target degree)."""
+    """Reduced curve, its weighted-L2 error, and the discarded orthogonal
+    components (zero for indices <= target degree).  The error is their
+    Parseval sum against Gram-form basis norms: accurate inside the tested
+    envelope, wrong from n ~ 60."""
 
     reduced: BezierCurve
     l2_error: float
@@ -80,6 +83,18 @@ def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
     return BezierCurve(_elevation(m, n) @ curve.control_points)
 
 
+@functools.lru_cache(maxsize=64)
+def _parseval_weights(pn: TransformParams, c_build, gram) -> np.ndarray:
+    """Squared norms of the modified Jacobi basis of ``pn``, diag(C G C^T)
+    with C = c_build(pn), G = gram(pn).  The builders are part of the key,
+    so a substituted one is never served another's weights; the array is
+    shared by every caller, so it is read-only."""
+    C = c_build(pn).values
+    w = np.einsum("ij,jk,ik->i", C, gram(pn), C)
+    w.flags.writeable = False
+    return w
+
+
 def reduce(prob: ReductionProblem) -> ReductionResult:
     """L2-optimal constrained degree reduction.
 
@@ -89,7 +104,7 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     expand the residual in the orthogonal modified Jacobi basis, truncate to
     indices <= m, map the kept part back to the degree-m Bernstein basis,
     and add it into the stub's free slots.  The discarded components give
-    the error exactly (Parseval).  At m = n the source is returned unchanged
+    the error by Parseval.  At m = n the source is returned unchanged
     with error 0 and nothing is built.
     """
     p = prob.source
@@ -118,13 +133,17 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
 
     discarded = np.zeros_like(jac)
     discarded[kept:] = jac[kept:]
-    err_sq = 0.0
+    l2_error = 0.0
     if kept < jac.shape[0]:
-        crows = c_theorem2(pn).values[kept:]
-        norms_sq = np.einsum("ij,jk,ik->i", crows, bernstein_gram(pn), crows)
-        err_sq = float(norms_sq @ np.sum(jac[kept:] ** 2, axis=1))
+        # scale the tail by a power of two, exactly, so that its squares
+        # neither overflow nor underflow
+        e = math.frexp(float(np.abs(jac[kept:]).max()))[1]
+        tail = np.ldexp(jac[kept:], -e)
+        sq = (tail * tail).sum(axis=1)
+        err_sq = float(_parseval_weights(pn, c_theorem2, bernstein_gram)[kept:] @ sq)
+        l2_error = math.ldexp(math.sqrt(max(err_sq, 0.0)), e)
     return ReductionResult(
         reduced=BezierCurve(reduced_pts),
-        l2_error=math.sqrt(max(err_sq, 0.0)),
+        l2_error=l2_error,
         discarded=ModJacobiCoeffs(pn, discarded),
     )

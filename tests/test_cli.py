@@ -210,6 +210,21 @@ class TestReduceCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["c_theorem2", "bernstein_gram"])
+    def test_substituted_weight_builder_after_warm_call(self, tmp_path, monkeypatch, capsys, name):
+        # the warm call memoizes the real builders' Parseval weights; the NaN
+        # builder only touches the source space, so only the error turns NaN
+        src = self.write_curve(tmp_path, [0.0, 1.0, 0.0, 2.0, 1.0])
+        args = ["reduce", "--in", str(src), "-m", "2", "-k", "1", "-l", "1", "--out"]
+        assert main(args + [str(tmp_path / "warm.json")]) == 0
+        real = getattr(dred, name)
+        nan = nan_builder(real) if name == "c_theorem2" else (lambda p: np.full_like(real(p), np.nan))
+        monkeypatch.setattr(dred, name, lambda p: nan(p) if p.n == 4 else real(p))
+        out = tmp_path / "never.json"
+        assert main(args + [str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_weight_exit_2_no_file(self, tmp_path, capsys):
         # the Gram matrix's log-gamma overflows at alpha = 1e308
         src = self.write_curve(tmp_path, [0.0, 1.0, 2.0, 3.0])

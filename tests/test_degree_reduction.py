@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bernjac.degree_reduction as dred
 from bernjac.bases import BezierCurve, TransformParams, bernstein_gram
 from bernjac.cli import main
 from bernjac.degree_reduction import ReductionProblem, elevate, reduce
@@ -300,3 +301,60 @@ class TestReduceProperties:
             kept = m - k - l + 1
             if kept > 0:
                 assert np.all(res.discarded.coeffs[:kept] == 0.0)
+
+
+def result_bytes(res):
+    return (res.reduced.control_points.tobytes(), np.float64(res.l2_error).tobytes(),
+            res.discarded.coeffs.tobytes())
+
+
+class TestReduceScaling:
+    @pytest.mark.parametrize("s", [-1000, -600, 600, 1000])
+    def test_power_of_two_equivariant(self, rng, s):
+        # the squares of the discarded components over- or underflow unless
+        # they are scaled first; every other step scales exactly
+        pts = rng.normal(size=(8, 2))
+        base = reduce(ReductionProblem(BezierCurve(pts), 3, 1, 1, 0.5, -0.5))
+        res = reduce(ReductionProblem(BezierCurve(np.ldexp(pts, s)), 3, 1, 1, 0.5, -0.5))
+        assert np.array_equal(res.reduced.control_points, np.ldexp(base.reduced.control_points, s))
+        assert res.l2_error == math.ldexp(base.l2_error, s)
+        assert np.array_equal(res.discarded.coeffs, np.ldexp(base.discarded.coeffs, s))
+
+
+class TestParsevalWeightMemo:
+    def test_spline_segments_build_weights_once(self, rng, monkeypatch):
+        calls = {"c_theorem2": [], "bernstein_gram": []}
+
+        def counting(name):
+            real = getattr(dred, name)
+
+            def build(p):
+                calls[name].append(p.n)
+                return real(p)
+            return build
+
+        for name in calls:
+            monkeypatch.setattr(dred, name, counting(name))
+        for _ in range(16):
+            reduce(ReductionProblem(BezierCurve(rng.normal(size=(17, 2))), 9, 1, 1, 0.5, -0.5))
+        assert calls["c_theorem2"].count(16) == 1
+        assert calls["bernstein_gram"] == [16]
+
+    def test_cold_equals_warm(self, rng):
+        prob = ReductionProblem(BezierCurve(rng.normal(size=(15, 3))), 6, 2, 1, -0.9, 3.7)
+        warm = result_bytes(reduce(prob))
+        dred._parseval_weights.cache_clear()
+        assert result_bytes(reduce(prob)) == warm
+
+    def test_signed_zero_and_int_weights_agree(self, rng):
+        pts = rng.normal(size=(10, 2))
+        outs = set()
+        for alpha in (0, 0.0, -0.0):
+            dred._parseval_weights.cache_clear()
+            outs.add(result_bytes(reduce(ReductionProblem(BezierCurve(pts), 4, 1, 2, alpha, 0.5))))
+        assert len(outs) == 1
+
+    def test_weights_are_read_only(self):
+        w = dred._parseval_weights(TransformParams(6, 1, 1), dred.c_theorem2, dred.bernstein_gram)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
