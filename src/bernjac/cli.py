@@ -353,6 +353,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: arithmetic overflows a double: {exc}", file=sys.stderr)
         return 2
+    except ZeroDivisionError as exc:
+        print(f"error: arithmetic divides by zero: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

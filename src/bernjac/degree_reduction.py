@@ -58,7 +58,8 @@ class ReductionResult:
     """Reduced curve, its weighted-L2 error, and the discarded orthogonal
     components (zero for indices <= target degree).  The error is their
     Parseval sum against Gram-form basis norms: accurate inside the tested
-    envelope, wrong from n ~ 60."""
+    envelope, wrong from n ~ 60.  Its arrays belong to the caller: none is
+    shared with ``reduce``'s memo or with another result."""
 
     reduced: BezierCurve
     l2_error: float
@@ -83,16 +84,24 @@ def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
     return BezierCurve(_elevation(m, n) @ curve.control_points)
 
 
-@functools.lru_cache(maxsize=64)
-def _parseval_weights(pn: TransformParams, c_build, gram) -> np.ndarray:
-    """Squared norms of the modified Jacobi basis of ``pn``, diag(C G C^T)
-    with C = c_build(pn), G = gram(pn).  The builders are part of the key,
-    so a substituted one is never served another's weights; the array is
-    shared by every caller, so it is read-only."""
-    C = c_build(pn).values
+@functools.lru_cache(maxsize=8)
+def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
+    """What ``reduce`` reads for the source space ``pn`` and a target degree
+    m < n: the elevation matrix E, D(n)^T, C(m)^T (None when no index is
+    kept) and the Parseval weights diag(C G C^T) of the discarded rows of
+    C = c_build(pn), G = gram(pn).  None of them depends on the curve.  The
+    builders are part of the key, so a substituted one is never served
+    another's matrices; the arrays are shared by every caller, so they are
+    read-only."""
+    kept = m - pn.k - pn.l + 1
+    E, DT = _elevation(m, pn.n), d_build(pn).values.T
+    CmT = c_build(TransformParams(m, pn.k, pn.l, pn.alpha, pn.beta)).values.T if kept > 0 else None
+    C = c_build(pn).values[kept:]
     w = np.einsum("ij,jk,ik->i", C, gram(pn), C)
-    w.flags.writeable = False
-    return w
+    for a in (E, DT, CmT, w):
+        if a is not None:
+            a.flags.writeable = False
+    return E, DT, CmT, w
 
 
 def reduce(prob: ReductionProblem) -> ReductionResult:
@@ -106,6 +115,13 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     and add it into the stub's free slots.  The discarded components give
     the error by Parseval.  At m = n the source is returned unchanged
     with error 0 and nothing is built.
+
+    Every matrix depends on (n, m, k, l, alpha, beta) only, never on the
+    curve, so the last 8 distinct sets and the builders in use key a memo:
+    the segments of a spline build E, D(n), C(m), C(n) and the Gram matrix
+    once.  Each call still does the stub solves, the residual, the
+    expansion, the map-back and the error itself, so a warm call returns
+    the same bytes as a cold one.
     """
     p = prob.source
     n, m, k, l = p.degree, prob.target_degree, prob.k, prob.l
@@ -114,7 +130,8 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
         return ReductionResult(BezierCurve(p.control_points.copy()), 0.0,
                                ModJacobiCoeffs(pn, np.zeros((pn.dim, p.dimension))))
 
-    P, E = p.control_points, _elevation(m, n)
+    E, DT, CmT, w = _reduction_matrices(pn, m, d_theorem4, c_theorem2, bernstein_gram)
+    P = p.control_points
     stub = np.zeros((m + 1, p.dimension))
     if k:
         stub[:k] = np.linalg.solve(E[:k, :k], P[:k])
@@ -123,25 +140,21 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     # the residual satisfies the constraints, so its Bernstein coefficients
     # outside h = k..n-l vanish up to rounding
     e = P[k:n - l + 1] - E[k:n - l + 1] @ stub
-    jac = d_theorem4(pn).values.T @ e
+    jac = DT @ e
 
-    kept = m - k - l + 1  # number of indices i = k+l..m
+    kept = m - k - l + 1  # indices i = k+l..m; as m < n, one index at least is discarded
     reduced_pts = stub.copy()
-    if kept > 0:
-        pm = TransformParams(m, k, l, prob.alpha, prob.beta)
-        reduced_pts[k:m - l + 1] += c_theorem2(pm).values.T @ jac[:kept]
+    if CmT is not None:
+        reduced_pts[k:m - l + 1] += CmT @ jac[:kept]
 
     discarded = np.zeros_like(jac)
     discarded[kept:] = jac[kept:]
-    l2_error = 0.0
-    if kept < jac.shape[0]:
-        # scale the tail by a power of two, exactly, so that its squares
-        # neither overflow nor underflow
-        e = math.frexp(float(np.abs(jac[kept:]).max()))[1]
-        tail = np.ldexp(jac[kept:], -e)
-        sq = (tail * tail).sum(axis=1)
-        err_sq = float(_parseval_weights(pn, c_theorem2, bernstein_gram)[kept:] @ sq)
-        l2_error = math.ldexp(math.sqrt(max(err_sq, 0.0)), e)
+    # scale the tail by a power of two, exactly, so that its squares
+    # neither overflow nor underflow
+    e = math.frexp(float(np.abs(jac[kept:]).max()))[1]
+    tail = np.ldexp(jac[kept:], -e)
+    err_sq = float(w @ (tail * tail).sum(axis=1))
+    l2_error = math.ldexp(math.sqrt(max(err_sq, 0.0)), e)
     return ReductionResult(
         reduced=BezierCurve(reduced_pts),
         l2_error=l2_error,

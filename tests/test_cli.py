@@ -22,6 +22,10 @@ from bernjac.jacobi_to_bernstein import c_oracle
 
 # what main prints for an OverflowError escaping the library
 OVERFLOW_ERROR = "error: arithmetic overflows a double: "
+# and for a ZeroDivisionError
+ZERO_DIVISION_ERROR = "error: arithmetic divides by zero: "
+# alpha = -1 + 2^-52: a + n absorbs the 2^-52, so a factor of d's z rounds to 0
+NEAR_MINUS_ONE = "-0.9999999999999998"
 
 
 def read_csv(path):
@@ -117,6 +121,13 @@ class TestMatrixCommand:
         out = tmp_path / "never.csv"
         assert main(["matrix", "c", "-n", "2100", "-k", "1050", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(OVERFLOW_ERROR)
+        assert not out.exists()
+
+    def test_zero_division_near_minus_one_exit_2_no_file(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["matrix", "d", "-n", "4", f"--alpha={NEAR_MINUS_ONE}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(ZERO_DIVISION_ERROR) and "Traceback" not in err
         assert not out.exists()
 
     def test_write_failing_after_header_exit_2_no_file(self, tmp_path, monkeypatch, capsys):
@@ -231,6 +242,15 @@ class TestReduceCommand:
         out = tmp_path / "never.json"
         assert main(["reduce", "--in", str(src), "-m", "2", "--alpha", "1e308", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(OVERFLOW_ERROR)
+        assert not out.exists()
+
+    def test_zero_division_near_minus_one_exit_2_no_file(self, tmp_path, capsys):
+        src = self.write_curve(tmp_path, [0.0, 1.0, 0.0, 2.0, 1.0])
+        out = tmp_path / "never.json"
+        assert main(["reduce", "--in", str(src), "-m", "0", f"--alpha={NEAR_MINUS_ONE}",
+                     f"--beta={NEAR_MINUS_ONE}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(ZERO_DIVISION_ERROR) and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("pts", [[0.0, float("nan"), 1.0], [0.0, float("inf"), 1.0]])

@@ -9,6 +9,7 @@ import bernjac.degree_reduction as dred
 from bernjac.bases import BezierCurve, TransformParams, bernstein_gram
 from bernjac.cli import main
 from bernjac.degree_reduction import ReductionProblem, elevate, reduce
+from bernjac.bernstein_to_jacobi import d_theorem4
 from bernjac.jacobi_to_bernstein import c_theorem2
 
 
@@ -321,9 +322,38 @@ class TestReduceScaling:
         assert np.array_equal(res.discarded.coeffs, np.ldexp(base.discarded.coeffs, s))
 
 
-class TestParsevalWeightMemo:
-    def test_spline_segments_build_weights_once(self, rng, monkeypatch):
-        calls = {"c_theorem2": [], "bernstein_gram": []}
+def stepwise_reduce(prob: ReductionProblem) -> tuple:
+    """The reduction pipeline with every matrix built on the call, as
+    ``reduce`` computed it before its matrices were memoized; returns
+    ``result_bytes`` of the result."""
+    P, n, m, k, l = prob.source.control_points, prob.source.degree, prob.target_degree, prob.k, prob.l
+    pn = TransformParams(n, k, l, prob.alpha, prob.beta)
+    if m == n:
+        return result_bytes(reduce(prob))
+    E = dred._elevation(m, n)
+    stub = np.zeros((m + 1, P.shape[1]))
+    if k:
+        stub[:k] = np.linalg.solve(E[:k, :k], P[:k])
+    if l:
+        stub[m - l + 1:] = np.linalg.solve(E[n - l + 1:, m - l + 1:], P[n - l + 1:])
+    jac = d_theorem4(pn).values.T @ (P[k:n - l + 1] - E[k:n - l + 1] @ stub)
+    kept = m - k - l + 1
+    reduced = stub.copy()
+    if kept > 0:
+        reduced[k:m - l + 1] += c_theorem2(TransformParams(m, k, l, prob.alpha, prob.beta)).values.T @ jac[:kept]
+    discarded = np.zeros_like(jac)
+    discarded[kept:] = jac[kept:]
+    C = c_theorem2(pn).values
+    w = np.einsum("ij,jk,ik->i", C, bernstein_gram(pn), C)
+    s = math.frexp(float(np.abs(jac[kept:]).max()))[1]
+    tail = np.ldexp(jac[kept:], -s)
+    err = math.ldexp(math.sqrt(max(float(w[kept:] @ (tail * tail).sum(axis=1)), 0.0)), s)
+    return reduced.tobytes(), np.float64(err).tobytes(), discarded.tobytes()
+
+
+class TestReductionMatrixMemo:
+    def test_spline_segments_build_each_matrix_once(self, rng, monkeypatch):
+        calls = {"d_theorem4": [], "c_theorem2": [], "bernstein_gram": []}
 
         def counting(name):
             real = getattr(dred, name)
@@ -337,24 +367,54 @@ class TestParsevalWeightMemo:
             monkeypatch.setattr(dred, name, counting(name))
         for _ in range(16):
             reduce(ReductionProblem(BezierCurve(rng.normal(size=(17, 2))), 9, 1, 1, 0.5, -0.5))
-        assert calls["c_theorem2"].count(16) == 1
-        assert calls["bernstein_gram"] == [16]
+        assert calls == {"d_theorem4": [16], "c_theorem2": [9, 16], "bernstein_gram": [16]}
 
     def test_cold_equals_warm(self, rng):
         prob = ReductionProblem(BezierCurve(rng.normal(size=(15, 3))), 6, 2, 1, -0.9, 3.7)
-        warm = result_bytes(reduce(prob))
-        dred._parseval_weights.cache_clear()
-        assert result_bytes(reduce(prob)) == warm
+        dred._reduction_matrices.cache_clear()
+        cold = result_bytes(reduce(prob))
+        assert result_bytes(reduce(prob)) == cold
 
     def test_signed_zero_and_int_weights_agree(self, rng):
+        # 0, 0.0 and -0.0 are one key: each must build what the others would
         pts = rng.normal(size=(10, 2))
         outs = set()
-        for alpha in (0, 0.0, -0.0):
-            dred._parseval_weights.cache_clear()
-            outs.add(result_bytes(reduce(ReductionProblem(BezierCurve(pts), 4, 1, 2, alpha, 0.5))))
+        for clear in (True, False):
+            for alpha in (0, 0.0, -0.0):
+                if clear:
+                    dred._reduction_matrices.cache_clear()
+                outs.add(result_bytes(reduce(ReductionProblem(BezierCurve(pts), 4, 1, 2, alpha, 0.5))))
         assert len(outs) == 1
 
-    def test_weights_are_read_only(self):
-        w = dred._parseval_weights(TransformParams(6, 1, 1), dred.c_theorem2, dred.bernstein_gram)
-        with pytest.raises(ValueError):
-            w[0] = 1.0
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_cached_arrays_are_read_only(self, m):
+        arrays = dred._reduction_matrices(TransformParams(6, 1, 1), m, dred.d_theorem4, dred.c_theorem2,
+                                          dred.bernstein_gram)
+        assert (arrays[2] is None) == (m == 1)  # no index is kept at m = k + l - 1
+        for a in arrays:
+            if a is not None:
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 1.0
+
+    def test_writing_into_result_leaves_next_call_unchanged(self, rng):
+        prob = ReductionProblem(BezierCurve(rng.normal(size=(12, 2))), 5, 1, 1, 0.5, -0.5)
+        res = reduce(prob)
+        first = result_bytes(res)
+        res.reduced.control_points[:] = 7.0
+        res.discarded.coeffs[:] = 7.0
+        assert result_bytes(reduce(prob)) == first
+
+    @pytest.mark.parametrize("n, alpha, beta", [
+        (1, 0.5, -0.5), (2, 0.0, 0.0), (3, -0.9, 3.7), (5, 0.5, -0.5), (9, 0.0, 0.0),
+        (14, -0.9, 3.7), (20, 0.5, -0.5), (31, 0.0, 0.0), (45, -0.9, 3.7), (60, 0.5, -0.5)])
+    def test_byte_identical_to_stepwise_pipeline(self, n, alpha, beta):
+        # every m, k, l <= 2; cold (memo cleared) and then warm
+        pts = np.random.default_rng(1500 + n).normal(size=(n + 1, 2))
+        for k in range(min(n, 2) + 1):
+            for l in range(min(n - k, 2) + 1):
+                for m in range(max(k + l - 1, 0), n + 1):
+                    prob = ReductionProblem(BezierCurve(pts), m, k, l, alpha, beta)
+                    want = stepwise_reduce(prob)
+                    dred._reduction_matrices.cache_clear()
+                    assert result_bytes(reduce(prob)) == want, (m, k, l)
+                    assert result_bytes(reduce(prob)) == want, (m, k, l)
