@@ -116,11 +116,11 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     the error by Parseval.  At m = n the source is returned unchanged
     with error 0 and nothing is built.
 
-    Every matrix depends on (n, m, k, l, alpha, beta) only, never on the
-    curve, so the last 8 distinct sets and the builders in use key a memo:
-    the segments of a spline build E, D(n), C(m), C(n) and the Gram matrix
-    once.  Each call still does the stub solves, the residual, the
-    expansion, the map-back and the error itself, so a warm call returns
+    Every matrix here depends on (n, m, k, l, alpha, beta) only, never on
+    the curve, so they are memoized on those values and the builders in
+    use, 8 entries at most: the segments of a spline build E, D(n), C(m),
+    C(n) and the Gram matrix once.  Each call still does its own stub
+    solves, residual, expansion, map-back and error, so a warm call returns
     the same bytes as a cold one.
     """
     p = prob.source
