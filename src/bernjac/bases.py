@@ -1,8 +1,7 @@
 """Containers of the endpoint-constrained space (its parameters, connection
 matrices, modified Jacobi coefficients and Bezier curves), point evaluation
-by de Casteljau and of the modified Jacobi basis, plus the exact
-Beta-function Gram matrix that serves as the independent oracle for all
-orthogonality and least-squares claims.
+by de Casteljau, plus the exact Beta-function Gram matrix that serves as
+the independent oracle for all orthogonality and least-squares claims.
 
 The constrained space of degree <= n holds polynomials whose derivatives of
 order < k vanish at 0 and of order < l vanish at 1; its dimension is
@@ -166,37 +165,6 @@ def de_casteljau(coeffs: np.ndarray, x: float):
     for r in range(n):
         b = (1.0 - x) * b[:n - r] + x * b[1:n - r + 1]
     return b[0]
-
-
-def eval_shifted_jacobi(i: int, alpha: float, beta: float, x: float) -> float:
-    """Shifted Jacobi polynomial on [0,1], weight (1-x)^alpha x^beta.
-
-    Evaluated by its terminating series in powers of (1-x); adequate for the
-    moderate degrees this library targets.
-    """
-    if not (-1.0 < alpha <= sys.float_info.max and -1.0 < beta <= sys.float_info.max):
-        raise ValueError("shifted Jacobi parameters must be finite with alpha > -1 and beta > -1")
-    if i < 0:
-        raise ValueError("shifted Jacobi degree must be nonnegative")
-    pre = 1.0
-    for j in range(i):
-        pre *= (alpha + 1.0 + j) / (j + 1.0)
-    u = 1.0 - x
-    total = 0.0
-    term = 1.0
-    for j in range(i):
-        total += term
-        term *= (j - i) * (i + alpha + beta + 1.0 + j) * u / ((j + 1.0) * (alpha + 1.0 + j))
-    return pre * (total + term)
-
-
-def eval_mod_jacobi(i: int, p: TransformParams, x: float) -> float:
-    """Modified Jacobi basis polynomial: (1-x)^l x^k times a shifted Jacobi
-    polynomial of degree i-k-l with lifted parameters."""
-    if not p.k + p.l <= i <= p.n:
-        raise ValueError(f"index i must lie in [{p.k + p.l}, {p.n}], got {i}")
-    return (1.0 - x) ** p.l * x ** p.k * eval_shifted_jacobi(
-        i - p.k - p.l, p.alpha + 2.0 * p.l, p.beta + 2.0 * p.k, x)
 
 
 def bernstein_gram(p: TransformParams) -> np.ndarray:

@@ -52,7 +52,10 @@ def _atomic_write(path: str, write) -> None:
     """Call ``write(fh)`` on a temp file beside ``path``, then rename it
     over ``path``; on any failure the temp file is removed."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bernjac-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bernjac-")
+    except OSError as exc:  # name the path the user gave, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w") as fh:
             write(fh)

@@ -143,12 +143,9 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     jac = DT @ e
 
     kept = m - k - l + 1  # indices i = k+l..m; as m < n, one index at least is discarded
-    reduced_pts = stub.copy()
     if CmT is not None:
-        reduced_pts[k:m - l + 1] += CmT @ jac[:kept]
-
-    discarded = np.zeros_like(jac)
-    discarded[kept:] = jac[kept:]
+        stub[k:m - l + 1] += CmT @ jac[:kept]
+    jac[:kept] = 0.0
     # scale the tail by a power of two, exactly, so that its squares
     # neither overflow nor underflow
     e = math.frexp(float(np.abs(jac[kept:]).max()))[1]
@@ -156,7 +153,7 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     err_sq = float(w @ (tail * tail).sum(axis=1))
     l2_error = math.ldexp(math.sqrt(max(err_sq, 0.0)), e)
     return ReductionResult(
-        reduced=BezierCurve(reduced_pts),
+        reduced=BezierCurve(stub),
         l2_error=l2_error,
-        discarded=ModJacobiCoeffs(pn, discarded),
+        discarded=ModJacobiCoeffs(pn, jac),
     )

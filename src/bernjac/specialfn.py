@@ -1,10 +1,10 @@
 """Scalar special-function kernel.
 
-Rising factorials, generalized binomial coefficients, the Beta function,
-and Hahn / dual Hahn polynomial evaluation by their terminating series,
-plus a whole-table form of the Hahn series for the cubic-cost reference
-routes.  The three-term recurrences live in the matrix builders of the
-transform modules, which never touch the gamma function; everything
+Generalized binomial coefficients, the Beta function, ratios of rising
+factorials, and Hahn / dual Hahn polynomial evaluation by their terminating
+series, plus a whole-table form of the Hahn series for the cubic-cost
+reference routes.  The three-term recurrences live in the matrix builders
+of the transform modules, which never touch the gamma function; everything
 gamma-flavoured here exists for the cubic-cost reference formulas and the
 exact Gram-matrix oracle.
 """
@@ -19,23 +19,6 @@ import numpy as np
 
 # exact range bound: an int beyond double range fails it instead of overflowing
 _MAX = sys.float_info.max
-
-
-def pochhammer(h: float, i: int) -> float:
-    """Rising factorial (h)_i = h(h+1)...(h+i-1), as a direct product.
-
-    The empty product (i = 0) is 1.  Left-to-right evaluation keeps each
-    partial result exact up to one rounding per factor and never round-trips
-    through the gamma function.
-    """
-    if not -_MAX <= h <= _MAX:
-        raise ValueError(f"pochhammer base must be finite, got {h}")
-    if type(i) is not int or i < 0:
-        raise ValueError(f"pochhammer order must be a nonnegative integer, got {i!r}")
-    out = 1.0
-    for j in range(i):
-        out *= h + j
-    return out
 
 
 def gen_binomial(y: float, t: float) -> float:

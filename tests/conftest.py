@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from bernjac.bases import TransformParams
 from bernjac.specialfn import HahnParams
 
 # mixed-tolerance policy used by every cross-route comparison
@@ -9,6 +12,9 @@ RTOL = 1e-9
 
 # weight-exponent sample used throughout the suite
 ALPHA_BETA = (-0.9, -0.5, 0.0, 0.5, 3.7)
+
+# exact range bound: an int beyond double range fails it instead of overflowing
+_MAX = sys.float_info.max
 
 
 def mixed_excess(a, b, atol=ATOL, rtol=RTOL):
@@ -64,6 +70,54 @@ def hahn_recurrence_step(n: int, x: float, p: HahnParams, q_n: float, q_prev: fl
     if n == 0:
         return (A + C - x) * q_n / A
     return ((A + C - x) * q_n - C * q_prev) / A
+
+
+def pochhammer(h: float, i: int) -> float:
+    """Rising factorial (h)_i = h(h+1)...(h+i-1), as a direct product.
+
+    The empty product (i = 0) is 1.  Left-to-right evaluation keeps each
+    partial result exact up to one rounding per factor and never round-trips
+    through the gamma function.
+    """
+    if not -_MAX <= h <= _MAX:
+        raise ValueError(f"pochhammer base must be finite, got {h}")
+    if type(i) is not int or i < 0:
+        raise ValueError(f"pochhammer order must be a nonnegative integer, got {i!r}")
+    out = 1.0
+    for j in range(i):
+        out *= h + j
+    return out
+
+
+def eval_shifted_jacobi(i: int, alpha: float, beta: float, x: float) -> float:
+    """Shifted Jacobi polynomial on [0,1], weight (1-x)^alpha x^beta.
+
+    Evaluated by its terminating series in powers of (1-x); adequate for the
+    moderate degrees this library targets.
+    """
+    if not (-1.0 < alpha <= sys.float_info.max and -1.0 < beta <= sys.float_info.max):
+        raise ValueError("shifted Jacobi parameters must be finite with alpha > -1 and beta > -1")
+    if i < 0:
+        raise ValueError("shifted Jacobi degree must be nonnegative")
+    pre = 1.0
+    for j in range(i):
+        pre *= (alpha + 1.0 + j) / (j + 1.0)
+    u = 1.0 - x
+    total = 0.0
+    term = 1.0
+    for j in range(i):
+        total += term
+        term *= (j - i) * (i + alpha + beta + 1.0 + j) * u / ((j + 1.0) * (alpha + 1.0 + j))
+    return pre * (total + term)
+
+
+def eval_mod_jacobi(i: int, p: TransformParams, x: float) -> float:
+    """Modified Jacobi basis polynomial: (1-x)^l x^k times a shifted Jacobi
+    polynomial of degree i-k-l with lifted parameters."""
+    if not p.k + p.l <= i <= p.n:
+        raise ValueError(f"index i must lie in [{p.k + p.l}, {p.n}], got {i}")
+    return (1.0 - x) ** p.l * x ** p.k * eval_shifted_jacobi(
+        i - p.k - p.l, p.alpha + 2.0 * p.l, p.beta + 2.0 * p.k, x)
 
 
 @pytest.fixture

@@ -16,14 +16,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, hahn_series_scale
+from conftest import ALPHA_BETA, hahn_series_scale, pochhammer
 
 from bernjac.bases import BezierCurve, TransformParams, bernstein_gram
 from bernjac.bernstein_to_jacobi import d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
 from bernjac.cli import run_benchmark
 from bernjac.degree_reduction import ReductionProblem, elevate, reduce
 from bernjac.jacobi_to_bernstein import c_direct, c_oracle, c_theorem1, c_theorem2
-from bernjac.specialfn import HahnParams, dual_hahn_eval, hahn_eval, pochhammer
+from bernjac.specialfn import HahnParams, dual_hahn_eval, hahn_eval
 
 ATOL, RTOL = 1e-12, 1e-9
 STRICT_N = 7  # strict mixed tolerance attainable in f64 up to here (measured)

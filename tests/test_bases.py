@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA
+from conftest import ALPHA_BETA, eval_mod_jacobi, eval_shifted_jacobi
 
 from bernjac.bases import (
     BezierCurve,
@@ -12,8 +12,6 @@ from bernjac.bases import (
     curve_from_json,
     curve_to_json,
     de_casteljau,
-    eval_mod_jacobi,
-    eval_shifted_jacobi,
 )
 from bernjac.jacobi_to_bernstein import c_theorem2
 

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, assert_mixed_close
+from conftest import ALPHA_BETA, assert_mixed_close, eval_mod_jacobi
 
-from bernjac.bases import TransformParams, bernstein_gram, eval_mod_jacobi
+from bernjac.bases import TransformParams, bernstein_gram
 from bernjac.bernstein_to_jacobi import _z_outer, d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
 from bernjac.jacobi_to_bernstein import c_direct, c_theorem2
 from bernjac.specialfn import HahnParams, _float_binomials, _poch_ratio, hahn_eval

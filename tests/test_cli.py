@@ -425,3 +425,18 @@ def test_no_command_is_usage_error():
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["matrix", "c", "-n", "5"],
+    ["reduce", "--in", "curve.json", "-m", "1"],
+    ["bench", "--n-list", "3"],
+])
+def test_missing_out_directory_names_out_path_exit_2_no_file(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curve.json").write_text('{"degree": 2, "dimension": 1, "control_points": [[0], [1], [0]]}')
+    out = str(tmp_path / "missing" / "x.out")
+    assert main(command + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert out in err and ".bernjac-" not in err
+    assert [f.name for f in tmp_path.iterdir()] == ["curve.json"]

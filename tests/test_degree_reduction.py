@@ -397,12 +397,22 @@ class TestReductionMatrixMemo:
                     a[(0,) * a.ndim] = 1.0
 
     def test_writing_into_result_leaves_next_call_unchanged(self, rng):
-        prob = ReductionProblem(BezierCurve(rng.normal(size=(12, 2))), 5, 1, 1, 0.5, -0.5)
-        res = reduce(prob)
-        first = result_bytes(res)
-        res.reduced.control_points[:] = 7.0
-        res.discarded.coeffs[:] = 7.0
-        assert result_bytes(reduce(prob)) == first
+        # m = k+l-1 (no index kept), a middle m and m = n (nothing built)
+        source = BezierCurve(rng.normal(size=(12, 2)))
+        for m in (1, 5, 11):
+            prob = ReductionProblem(source, m, 1, 1, 0.5, -0.5)
+            res = reduce(prob)
+            first = result_bytes(res)
+            arrays = [source.control_points]
+            if m < 11:
+                arrays += dred._reduction_matrices(TransformParams(11, 1, 1, 0.5, -0.5), m, dred.d_theorem4,
+                                                   dred.c_theorem2, dred.bernstein_gram)
+            owned = (res.reduced.control_points, res.discarded.coeffs)
+            assert not np.shares_memory(*owned), m
+            assert not any(np.shares_memory(a, b) for a in owned for b in arrays if b is not None), m
+            res.reduced.control_points[:] = 7.0
+            res.discarded.coeffs[:] = 7.0
+            assert result_bytes(reduce(prob)) == first, m
 
     @pytest.mark.parametrize("n, alpha, beta", [
         (1, 0.5, -0.5), (2, 0.0, 0.0), (3, -0.9, 3.7), (5, 0.5, -0.5), (9, 0.0, 0.0),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, assert_mixed_close
+from conftest import ALPHA_BETA, assert_mixed_close, eval_mod_jacobi
 
-from bernjac.bases import TransformParams, de_casteljau, eval_mod_jacobi
+from bernjac.bases import TransformParams, de_casteljau
 from bernjac.jacobi_to_bernstein import c_direct, c_oracle, c_theorem1, c_theorem2
 from bernjac.specialfn import HahnParams, _float_binomials, hahn_eval
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, _hahn_rec_coeffs, hahn_recurrence_step, hahn_series_scale
+from conftest import ALPHA_BETA, _hahn_rec_coeffs, hahn_recurrence_step, hahn_series_scale, pochhammer
 
 from bernjac.specialfn import (
     HahnParams,
@@ -12,7 +12,6 @@ from bernjac.specialfn import (
     dual_hahn_eval,
     gen_binomial,
     hahn_eval,
-    pochhammer,
 )
 
 # frozen 40-digit references (mpmath, dps=40)
