@@ -9,18 +9,21 @@ SRC = Path(bernjac.__file__).parent
 README = SRC.parents[1] / "README.md"
 
 
+def names_used(tree):
+    """Every name, attribute and imported name that ``tree`` mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
 def test_every_private_definition_has_a_caller_in_src():
     # a private helper that only tests call belongs in the tests
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+    used = {name for tree in trees.values() for name in names_used(tree)}
     unused = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name.startswith("_") and not node.name.startswith("__")
@@ -38,22 +41,12 @@ def test_every_public_helper_has_a_caller_in_src_or_is_named_in_readme():
     for dotted in named:
         module, name = dotted.rsplit(".", 1)
         getattr(importlib.import_module(module), name)
-
-    def names_in(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute):
-                yield sub.attr
-            elif isinstance(sub, ast.ImportFrom):
-                yield from (alias.name for alias in sub.names)
-
     nodes = [(f"bernjac.{path.stem}", node) for path in sorted(SRC.glob("*.py"))
              for node in ast.parse(path.read_text()).body]
     live = {node for module, node in nodes if not isinstance(node, (ast.FunctionDef, ast.ClassDef))
             or node.name in bernjac.__all__ or f"{module}.{node.name}" in named}
     while True:
-        used = {name for node in live for name in names_in(node)}
+        used = {name for node in live for name in names_used(node)}
         more = {node for _, node in nodes if getattr(node, "name", None) in used} - live
         if not more:
             break
