@@ -59,7 +59,10 @@ def _atomic_write(path: str, write) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             write(fh)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # e.g. ``path`` is a directory
+            raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -66,14 +66,16 @@ class ReductionResult:
     discarded: ModJacobiCoeffs
 
 
-def _elevation(m: int, n: int) -> np.ndarray:
+def _elevation(m: int, n: int, cols=slice(None)) -> np.ndarray:
     """(n+1) x (m+1) matrix taking degree-m control points to degree n;
-    entry (j, i) is C(m,i) C(n-m,j-i) / C(n,j)."""
+    entry (j, i) is C(m,i) C(n-m,j-i) / C(n,j).  ``cols`` (an index array)
+    builds only those columns, each bit-identical to the full matrix's."""
     bm, bd, bn = (np.array(_float_binomials(d)) for d in (m, n - m, n))
     if not np.all(np.isfinite(bn)):
         raise ValueError(f"cannot elevate to degree {n}: its binomial coefficients overflow a double")
-    d = np.arange(n + 1)[:, None] - np.arange(m + 1)
-    return np.where((d >= 0) & (d <= n - m), bm * bd[np.clip(d, 0, n - m)] / bn[:, None], 0.0)
+    i = np.arange(m + 1)[cols]
+    d = np.arange(n + 1)[:, None] - i
+    return np.where((d >= 0) & (d <= n - m), bm[i] * np.take(bd, d, mode="clip") / bn[:, None], 0.0)
 
 
 def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
@@ -86,22 +88,45 @@ def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
 
 @functools.lru_cache(maxsize=8)
 def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
-    """What ``reduce`` reads for the source space ``pn`` and a target degree
-    m < n: the elevation matrix E, D(n)^T, C(m)^T (None when no index is
-    kept) and the Parseval weights diag(C G C^T) of the discarded rows of
+    """The linear maps ``reduce`` applies for the source space ``pn`` and a
+    target degree m < n: R takes the source control points to the reduced
+    ones, T takes them to the discarded orthogonal components (indices
+    m+1..n), and w holds those components' Parseval weights diag(C G C^T),
     C = c_build(pn), G = gram(pn).  None of them depends on the curve.  The
     builders are part of the key, so a substituted one is never served
-    another's matrices; the arrays are shared by every caller, so they are
-    read-only."""
-    kept = m - pn.k - pn.l + 1
-    E, DT = _elevation(m, pn.n), d_build(pn).values.T
-    CmT = c_build(TransformParams(m, pn.k, pn.l, pn.alpha, pn.beta)).values.T if kept > 0 else None
+    another's maps; the arrays are shared by every caller, so they are
+    read-only.
+
+    They are built by pushing the identity through the pipeline.  The stub
+    map S inverts the corners of the elevation matrix E, so that E S P
+    shares the derivatives of P of orders < k at t=0 and < l at t=1; only
+    E's first k and last l columns are built.  Q = D(n)^T (I - E S),
+    restricted to rows h = k..n-l, expands the residual in the orthogonal
+    basis; R is S plus C(m)^T Q[:kept] in the free rows, T = Q[kept:]."""
+    n, k, l = pn.n, pn.k, pn.l
+    kept = m - k - l + 1  # indices i = k+l..m; as m < n, one index at least is discarded
+    Eo = _elevation(m, n, np.array([*range(k), *range(m - l + 1, m + 1)], dtype=int))
+    # S restricted to the forced points: one solve on both corners of E
+    corners = np.zeros((k + l, k + l))
+    corners[:k, :k], corners[k:, k:] = Eo[:k, :k], Eo[n - l + 1:, k:]
+    if k + l:
+        corners = np.linalg.solve(corners, np.eye(k + l))
+    DT = d_build(pn).values.T
+    # I - E S is the identity on the middle columns h = k..n-l, where S is zero
+    Q = np.empty((n - k - l + 1, n + 1))
+    Q[:, k:n - l + 1] = DT
+    outer = -(DT @ (Eo[k:n - l + 1] @ corners))
+    Q[:, :k], Q[:, n - l + 1:] = outer[:, :k], outer[:, k:]
+    R = np.zeros((m + 1, n + 1))
+    R[:k, :k], R[m - l + 1:, n - l + 1:] = corners[:k, :k], corners[k:, k:]
+    if kept > 0:
+        R[k:m - l + 1] += c_build(TransformParams(m, k, l, pn.alpha, pn.beta)).values.T @ Q[:kept]
+    T = Q[kept:].copy()
     C = c_build(pn).values[kept:]
     w = np.einsum("ij,jk,ik->i", C, gram(pn), C)
-    for a in (E, DT, CmT, w):
-        if a is not None:
-            a.flags.writeable = False
-    return E, DT, CmT, w
+    for a in (R, T, w):
+        a.flags.writeable = False
+    return R, T, w
 
 
 def reduce(prob: ReductionProblem) -> ReductionResult:
@@ -116,12 +141,16 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     the error by Parseval.  At m = n the source is returned unchanged
     with error 0 and nothing is built.
 
-    Every matrix here depends on (n, m, k, l, alpha, beta) only, never on
-    the curve, so they are memoized on those values and the builders in
-    use, 8 entries at most: the segments of a spline build E, D(n), C(m),
-    C(n) and the Gram matrix once.  Each call still does its own stub
-    solves, residual, expansion, map-back and error, so a warm call returns
-    the same bytes as a cold one.
+    For fixed (n, m, k, l, alpha, beta) that pipeline is a linear map of the
+    control points P.  It is composed once into R (P to the reduced control
+    points) and T (P to the discarded components) and memoized, with the
+    Parseval weights w, on those values and the builders in use, 8 entries
+    at most.  A warm call is one lookup, the two matmuls R @ P and T @ P and
+    the Parseval sum; the segments of a spline build D(n), C(m), C(n) and
+    the Gram matrix once.  The composed maps round differently from the
+    step-by-step pipeline: the reduced control points agree with it to
+    1e-13 of max(1, |P|) at n <= 20, the error and the discarded components
+    to 1e-13 relative.  A warm call returns the same bytes as a cold one.
     """
     p = prob.source
     n, m, k, l = p.degree, prob.target_degree, prob.k, prob.l
@@ -130,30 +159,18 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
         return ReductionResult(BezierCurve(p.control_points.copy()), 0.0,
                                ModJacobiCoeffs(pn, np.zeros((pn.dim, p.dimension))))
 
-    E, DT, CmT, w = _reduction_matrices(pn, m, d_theorem4, c_theorem2, bernstein_gram)
+    R, T, w = _reduction_matrices(pn, m, d_theorem4, c_theorem2, bernstein_gram)
     P = p.control_points
-    stub = np.zeros((m + 1, p.dimension))
-    if k:
-        stub[:k] = np.linalg.solve(E[:k, :k], P[:k])
-    if l:
-        stub[m - l + 1:] = np.linalg.solve(E[n - l + 1:, m - l + 1:], P[n - l + 1:])
-    # the residual satisfies the constraints, so its Bernstein coefficients
-    # outside h = k..n-l vanish up to rounding
-    e = P[k:n - l + 1] - E[k:n - l + 1] @ stub
-    jac = DT @ e
-
-    kept = m - k - l + 1  # indices i = k+l..m; as m < n, one index at least is discarded
-    if CmT is not None:
-        stub[k:m - l + 1] += CmT @ jac[:kept]
-    jac[:kept] = 0.0
+    kept = m - k - l + 1
+    jac = np.zeros((pn.dim, p.dimension))
+    tail = np.matmul(T, P, out=jac[kept:])
     # scale the tail by a power of two, exactly, so that its squares
     # neither overflow nor underflow
-    e = math.frexp(float(np.abs(jac[kept:]).max()))[1]
-    tail = np.ldexp(jac[kept:], -e)
+    e = math.frexp(float(np.abs(tail).max()))[1]
+    tail = np.ldexp(tail, -e)
     err_sq = float(w @ (tail * tail).sum(axis=1))
-    l2_error = math.ldexp(math.sqrt(max(err_sq, 0.0)), e)
     return ReductionResult(
-        reduced=BezierCurve(stub),
-        l2_error=l2_error,
+        reduced=BezierCurve(R @ P),
+        l2_error=math.ldexp(math.sqrt(max(err_sq, 0.0)), e),
         discarded=ModJacobiCoeffs(pn, jac),
     )

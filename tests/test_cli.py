@@ -440,3 +440,19 @@ def test_missing_out_directory_names_out_path_exit_2_no_file(tmp_path, monkeypat
     err = capsys.readouterr().err
     assert out in err and ".bernjac-" not in err
     assert [f.name for f in tmp_path.iterdir()] == ["curve.json"]
+
+
+@pytest.mark.parametrize("command", [
+    ["matrix", "c", "-n", "5"],
+    ["reduce", "--in", "curve.json", "-m", "1"],
+    ["bench", "--n-list", "3"],
+])
+def test_out_path_that_is_a_directory_names_out_path_exit_2_no_file(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curve.json").write_text('{"degree": 2, "dimension": 1, "control_points": [[0], [1], [0]]}')
+    (tmp_path / "dir").mkdir()
+    assert main(command + ["--out", "dir"]) == 2
+    err = capsys.readouterr().err
+    assert "'dir'" in err and ".bernjac-" not in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["curve.json", "dir"]
+    assert list((tmp_path / "dir").iterdir()) == []

@@ -5,7 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bernjac.bases
+import bernjac.bernstein_to_jacobi
 import bernjac.degree_reduction as dred
+import bernjac.jacobi_to_bernstein
 from bernjac.bases import BezierCurve, TransformParams, bernstein_gram
 from bernjac.cli import main
 from bernjac.degree_reduction import ReductionProblem, elevate, reduce
@@ -323,13 +326,15 @@ class TestReduceScaling:
 
 
 def stepwise_reduce(prob: ReductionProblem) -> tuple:
-    """The reduction pipeline with every matrix built on the call, as
-    ``reduce`` computed it before its matrices were memoized; returns
-    ``result_bytes`` of the result."""
+    """The reduction pipeline step by step, every matrix built on the call,
+    as ``reduce`` computed it before it was composed into cached linear
+    maps; returns the reduced control points, the error and the discarded
+    components."""
     P, n, m, k, l = prob.source.control_points, prob.source.degree, prob.target_degree, prob.k, prob.l
     pn = TransformParams(n, k, l, prob.alpha, prob.beta)
     if m == n:
-        return result_bytes(reduce(prob))
+        res = reduce(prob)
+        return res.reduced.control_points, res.l2_error, res.discarded.coeffs
     E = dred._elevation(m, n)
     stub = np.zeros((m + 1, P.shape[1]))
     if k:
@@ -348,7 +353,7 @@ def stepwise_reduce(prob: ReductionProblem) -> tuple:
     s = math.frexp(float(np.abs(jac[kept:]).max()))[1]
     tail = np.ldexp(jac[kept:], -s)
     err = math.ldexp(math.sqrt(max(float(w[kept:] @ (tail * tail).sum(axis=1)), 0.0)), s)
-    return reduced.tobytes(), np.float64(err).tobytes(), discarded.tobytes()
+    return reduced, err, discarded
 
 
 class TestReductionMatrixMemo:
@@ -388,13 +393,37 @@ class TestReductionMatrixMemo:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_cached_arrays_are_read_only(self, m):
-        arrays = dred._reduction_matrices(TransformParams(6, 1, 1), m, dred.d_theorem4, dred.c_theorem2,
-                                          dred.bernstein_gram)
-        assert (arrays[2] is None) == (m == 1)  # no index is kept at m = k + l - 1
-        for a in arrays:
-            if a is not None:
-                with pytest.raises(ValueError):
-                    a[(0,) * a.ndim] = 1.0
+        R, T, w = dred._reduction_matrices(TransformParams(6, 1, 1), m, dred.d_theorem4, dred.c_theorem2,
+                                           dred.bernstein_gram)
+        # R: control points -> reduced ones; T and w: the discarded indices m+1..n
+        assert (R.shape, T.shape, w.shape) == ((m + 1, 7), (6 - m, 7), (6 - m,))
+        for a in (R, T, w):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+
+    def test_warm_call_builds_and_solves_nothing(self, rng, monkeypatch):
+        prob = ReductionProblem(BezierCurve(rng.normal(size=(15, 2))), 7, 2, 1, 0.5, -0.5)
+        dred._reduction_matrices.cache_clear()
+        cold = result_bytes(reduce(prob))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm call must not build or solve")
+        # D and C are returned as ConnectionMatrix, the Gram entries come from beta_fn
+        monkeypatch.setattr(dred, "_elevation", refuse)
+        monkeypatch.setattr(bernjac.bernstein_to_jacobi, "ConnectionMatrix", refuse)
+        monkeypatch.setattr(bernjac.jacobi_to_bernstein, "ConnectionMatrix", refuse)
+        monkeypatch.setattr(bernjac.bases, "beta_fn", refuse)
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        misses = dred._reduction_matrices.cache_info().misses
+        assert result_bytes(reduce(prob)) == cold
+        assert dred._reduction_matrices.cache_info().misses == misses
+
+    @pytest.mark.parametrize("m, n, k, l", [(0, 3, 1, 0), (1, 3, 0, 2), (5, 9, 2, 2), (1, 6, 1, 1), (19, 20, 2, 1)])
+    def test_outer_elevation_columns_match_full_matrix(self, m, n, k, l):
+        cols = np.array([*range(k), *range(m - l + 1, m + 1)], dtype=int)
+        assert dred._elevation(m, n, cols).tobytes() == dred._elevation(m, n)[:, cols].tobytes()
 
     def test_writing_into_result_leaves_next_call_unchanged(self, rng):
         # m = k+l-1 (no index kept), a middle m and m = n (nothing built)
@@ -417,14 +446,22 @@ class TestReductionMatrixMemo:
     @pytest.mark.parametrize("n, alpha, beta", [
         (1, 0.5, -0.5), (2, 0.0, 0.0), (3, -0.9, 3.7), (5, 0.5, -0.5), (9, 0.0, 0.0),
         (14, -0.9, 3.7), (20, 0.5, -0.5), (31, 0.0, 0.0), (45, -0.9, 3.7), (60, 0.5, -0.5)])
-    def test_byte_identical_to_stepwise_pipeline(self, n, alpha, beta):
-        # every m, k, l <= 2; cold (memo cleared) and then warm
+    def test_matches_stepwise_pipeline(self, n, alpha, beta):
+        # every m, k, l <= 2, cold (memo cleared) and then warm.  Composing
+        # the pipeline into R and T changes the rounding only; past n = 20 the
+        # stepwise pipeline itself is off the optimum by far more than 1e-9
         pts = np.random.default_rng(1500 + n).normal(size=(n + 1, 2))
+        atol = 1e-13 * max(1.0, np.abs(pts).max()) if n <= 20 else 1e-9
         for k in range(min(n, 2) + 1):
             for l in range(min(n - k, 2) + 1):
                 for m in range(max(k + l - 1, 0), n + 1):
                     prob = ReductionProblem(BezierCurve(pts), m, k, l, alpha, beta)
-                    want = stepwise_reduce(prob)
+                    reduced, err, discarded = stepwise_reduce(prob)
                     dred._reduction_matrices.cache_clear()
-                    assert result_bytes(reduce(prob)) == want, (m, k, l)
-                    assert result_bytes(reduce(prob)) == want, (m, k, l)
+                    res = reduce(prob)
+                    assert result_bytes(reduce(prob)) == result_bytes(res), (m, k, l)
+                    np.testing.assert_allclose(res.reduced.control_points, reduced, rtol=0, atol=atol,
+                                               err_msg=str((m, k, l)))
+                    assert res.l2_error == pytest.approx(err, rel=1e-13, abs=0), (m, k, l)
+                    np.testing.assert_allclose(res.discarded.coeffs, discarded, rtol=0,
+                                               atol=1e-13 * np.abs(discarded).max(), err_msg=str((m, k, l)))
