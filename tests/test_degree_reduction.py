@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import bernjac.bases
-import bernjac.bernstein_to_jacobi
+import bernjac.bases as bases
+import bernjac.bernstein_to_jacobi as b2j
 import bernjac.degree_reduction as dred
-import bernjac.jacobi_to_bernstein
+import bernjac.jacobi_to_bernstein as j2b
 from bernjac.bases import BezierCurve, TransformParams, bernstein_gram
 from bernjac.cli import main
 from bernjac.degree_reduction import ReductionProblem, elevate, reduce
@@ -410,9 +410,9 @@ class TestReductionMatrixMemo:
             raise AssertionError("a warm call must not build or solve")
         # D and C are returned as ConnectionMatrix, the Gram entries come from beta_fn
         monkeypatch.setattr(dred, "_elevation", refuse)
-        monkeypatch.setattr(bernjac.bernstein_to_jacobi, "ConnectionMatrix", refuse)
-        monkeypatch.setattr(bernjac.jacobi_to_bernstein, "ConnectionMatrix", refuse)
-        monkeypatch.setattr(bernjac.bases, "beta_fn", refuse)
+        monkeypatch.setattr(b2j, "ConnectionMatrix", refuse)
+        monkeypatch.setattr(j2b, "ConnectionMatrix", refuse)
+        monkeypatch.setattr(bases, "beta_fn", refuse)
         for name in np.linalg.__all__:
             if callable(getattr(np.linalg, name)):
                 monkeypatch.setattr(np.linalg, name, refuse)
