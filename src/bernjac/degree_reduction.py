@@ -81,9 +81,30 @@ def _elevation(m: int, n: int, cols=slice(None)) -> np.ndarray:
 def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
     """Degree-elevate a curve: identical polynomial, more control points."""
     m, n = curve.degree, to_degree
+    if not _is_count(n) or n < 0:
+        raise ValueError(f"to_degree must be a nonnegative integer, got {n!r}")
     if n < m:
         raise ValueError(f"cannot elevate degree {m} curve to lower degree {n}")
     return BezierCurve(_elevation(m, n) @ curve.control_points)
+
+
+@functools.lru_cache(maxsize=1024)
+def _stub_map(n: int, m: int, k: int, l: int):
+    """The part of ``reduce``'s maps that depends on (n, m, k, l) alone, not
+    on the weights.  S inverts the two corners of the elevation matrix E, so
+    that E S P shares the derivatives of P of orders < k at t=0 and < l at
+    t=1; only E's first k and last l columns are built.  ES is their rows
+    h = k..n-l times S.  Both are shared, so read-only."""
+    Eo = _elevation(m, n, np.array([*range(k), *range(m - l + 1, m + 1)], dtype=int))
+    # one solve on both corners of E
+    S = np.zeros((k + l, k + l))
+    S[:k, :k], S[k:, k:] = Eo[:k, :k], Eo[n - l + 1:, k:]
+    if k + l:
+        S = np.linalg.solve(S, np.eye(k + l))
+    ES = Eo[k:n - l + 1] @ S
+    for a in (S, ES):
+        a.flags.writeable = False
+    return S, ES
 
 
 @functools.lru_cache(maxsize=8)
@@ -98,27 +119,22 @@ def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
     read-only.
 
     They are built by pushing the identity through the pipeline.  The stub
-    map S inverts the corners of the elevation matrix E, so that E S P
-    shares the derivatives of P of orders < k at t=0 and < l at t=1; only
-    E's first k and last l columns are built.  Q = D(n)^T (I - E S),
+    map S and the product ES come from ``_stub_map``, which depends on
+    (n, m, k, l) alone and keeps them per shape, so a miss on new weights
+    builds no elevation columns and makes no solve.  Q = D(n)^T (I - E S),
     restricted to rows h = k..n-l, expands the residual in the orthogonal
     basis; R is S plus C(m)^T Q[:kept] in the free rows, T = Q[kept:]."""
     n, k, l = pn.n, pn.k, pn.l
     kept = m - k - l + 1  # indices i = k+l..m; as m < n, one index at least is discarded
-    Eo = _elevation(m, n, np.array([*range(k), *range(m - l + 1, m + 1)], dtype=int))
-    # S restricted to the forced points: one solve on both corners of E
-    corners = np.zeros((k + l, k + l))
-    corners[:k, :k], corners[k:, k:] = Eo[:k, :k], Eo[n - l + 1:, k:]
-    if k + l:
-        corners = np.linalg.solve(corners, np.eye(k + l))
+    S, ES = _stub_map(n, m, k, l)
     DT = d_build(pn).values.T
     # I - E S is the identity on the middle columns h = k..n-l, where S is zero
     Q = np.empty((n - k - l + 1, n + 1))
     Q[:, k:n - l + 1] = DT
-    outer = -(DT @ (Eo[k:n - l + 1] @ corners))
+    outer = -(DT @ ES)
     Q[:, :k], Q[:, n - l + 1:] = outer[:, :k], outer[:, k:]
     R = np.zeros((m + 1, n + 1))
-    R[:k, :k], R[m - l + 1:, n - l + 1:] = corners[:k, :k], corners[k:, k:]
+    R[:k, :k], R[m - l + 1:, n - l + 1:] = S[:k, :k], S[k:, k:]
     if kept > 0:
         R[k:m - l + 1] += c_build(TransformParams(m, k, l, pn.alpha, pn.beta)).values.T @ Q[:kept]
     T = Q[kept:].copy()
@@ -147,7 +163,10 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     Parseval weights w, on those values and the builders in use, 8 entries
     at most.  A warm call is one lookup, the two matmuls R @ P and T @ P and
     the Parseval sum; the segments of a spline build D(n), C(m), C(n) and
-    the Gram matrix once.  The composed maps round differently from the
+    the Gram matrix once.  The stub map, which does not depend on the
+    weights, is memoized apart per (n, m, k, l), 1024 shapes at most, so a
+    miss on new weights for a known shape builds only D, C and the Gram
+    matrix.  The composed maps round differently from the
     step-by-step pipeline: the reduced control points agree with it to
     1e-13 of max(1, |P|) at n <= 20, the error and the discarded components
     to 1e-13 relative.  A warm call returns the same bytes as a cold one.

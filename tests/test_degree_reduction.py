@@ -92,6 +92,12 @@ class TestElevate:
         with pytest.raises(ValueError):
             elevate(BezierCurve(np.zeros((4, 1))), 2)
 
+    @pytest.mark.parametrize("to_degree", [3.0, True, -1])
+    def test_non_count_degree_rejected(self, to_degree):
+        # a float used to raise TypeError from inside numpy, True to elevate to degree 1
+        with pytest.raises(ValueError, match="to_degree"):
+            elevate(BezierCurve(np.zeros((1, 1))), to_degree)
+
     def test_binomial_overflow_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
             elevate(BezierCurve(np.ones((3, 1))), 1100)
@@ -356,6 +362,13 @@ def stepwise_reduce(prob: ReductionProblem) -> tuple:
     return reduced, err, discarded
 
 
+def clear_memos():
+    """Empty both of ``reduce``'s memos, per shape and per weights, so that
+    the next call is cold."""
+    dred._reduction_matrices.cache_clear()
+    dred._stub_map.cache_clear()
+
+
 class TestReductionMatrixMemo:
     def test_spline_segments_build_each_matrix_once(self, rng, monkeypatch):
         calls = {"d_theorem4": [], "c_theorem2": [], "bernstein_gram": []}
@@ -376,7 +389,7 @@ class TestReductionMatrixMemo:
 
     def test_cold_equals_warm(self, rng):
         prob = ReductionProblem(BezierCurve(rng.normal(size=(15, 3))), 6, 2, 1, -0.9, 3.7)
-        dred._reduction_matrices.cache_clear()
+        clear_memos()
         cold = result_bytes(reduce(prob))
         assert result_bytes(reduce(prob)) == cold
 
@@ -387,7 +400,7 @@ class TestReductionMatrixMemo:
         for clear in (True, False):
             for alpha in (0, 0.0, -0.0):
                 if clear:
-                    dred._reduction_matrices.cache_clear()
+                    clear_memos()
                 outs.add(result_bytes(reduce(ReductionProblem(BezierCurve(pts), 4, 1, 2, alpha, 0.5))))
         assert len(outs) == 1
 
@@ -403,7 +416,7 @@ class TestReductionMatrixMemo:
 
     def test_warm_call_builds_and_solves_nothing(self, rng, monkeypatch):
         prob = ReductionProblem(BezierCurve(rng.normal(size=(15, 2))), 7, 2, 1, 0.5, -0.5)
-        dred._reduction_matrices.cache_clear()
+        clear_memos()
         cold = result_bytes(reduce(prob))
 
         def refuse(*args, **kwargs):
@@ -419,6 +432,46 @@ class TestReductionMatrixMemo:
         misses = dred._reduction_matrices.cache_info().misses
         assert result_bytes(reduce(prob)) == cold
         assert dred._reduction_matrices.cache_info().misses == misses
+
+    def test_new_weights_on_a_known_shape_reuse_its_stub(self, rng, monkeypatch):
+        pts = rng.normal(size=(15, 2))
+        reduce(ReductionProblem(BezierCurve(pts), 7, 2, 1, 0.5, -0.5))
+        prob = ReductionProblem(BezierCurve(pts), 7, 2, 1, -0.9, 3.7)
+        clear_memos()
+        cold = result_bytes(reduce(prob))
+        reduce(ReductionProblem(BezierCurve(pts), 7, 2, 1, 0.5, -0.5))
+        dred._reduction_matrices.cache_clear()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a known shape must not rebuild its stub")
+        monkeypatch.setattr(dred, "_elevation", refuse)
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        calls = []
+        for name in ("d_theorem4", "c_theorem2", "bernstein_gram"):
+            monkeypatch.setattr(dred, name, lambda p, real=getattr(dred, name), name=name:
+                                calls.append((name, p.n)) or real(p))
+        assert result_bytes(reduce(prob)) == cold
+        assert sorted(calls) == [("bernstein_gram", 14), ("c_theorem2", 7), ("c_theorem2", 14),
+                                 ("d_theorem4", 14)]
+
+    def test_stub_arrays_are_read_only(self):
+        S, ES = dred._stub_map(9, 5, 2, 1)
+        # S on the k+l forced points; ES on the residual rows h = k..n-l
+        assert (S.shape, ES.shape) == ((3, 3), (7, 3))
+        for a in (S, ES):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_shapes_get_distinct_stub_entries(self):
+        clear_memos()
+        shapes = [(9, 5, 1, 2), (9, 5, 2, 1), (9, 6, 1, 2), (9, 6, 2, 1)]
+        stubs = [dred._stub_map(*shape) for shape in shapes]
+        assert dred._stub_map.cache_info().currsize == 4
+        for i, (S, ES) in enumerate(stubs):
+            for S2, ES2 in stubs[i + 1:]:
+                assert S.tobytes() != S2.tobytes() or ES.tobytes() != ES2.tobytes()
 
     @pytest.mark.parametrize("m, n, k, l", [(0, 3, 1, 0), (1, 3, 0, 2), (5, 9, 2, 2), (1, 6, 1, 1), (19, 20, 2, 1)])
     def test_outer_elevation_columns_match_full_matrix(self, m, n, k, l):
@@ -457,7 +510,7 @@ class TestReductionMatrixMemo:
                 for m in range(max(k + l - 1, 0), n + 1):
                     prob = ReductionProblem(BezierCurve(pts), m, k, l, alpha, beta)
                     reduced, err, discarded = stepwise_reduce(prob)
-                    dred._reduction_matrices.cache_clear()
+                    clear_memos()
                     res = reduce(prob)
                     assert result_bytes(reduce(prob)) == result_bytes(res), (m, k, l)
                     np.testing.assert_allclose(res.reduced.control_points, reduced, rtol=0, atol=atol,
