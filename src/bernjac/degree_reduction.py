@@ -88,6 +88,11 @@ def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
     return BezierCurve(_elevation(m, n) @ curve.control_points)
 
 
+# An entry of _stub_map holds (k+l)(n+1) doubles.  Shapes above this many
+# are rebuilt on every miss instead, so the memo's arrays stay under 8 MiB.
+_STUB_MEMO_DOUBLES = 1024
+
+
 @functools.lru_cache(maxsize=1024)
 def _stub_map(n: int, m: int, k: int, l: int):
     """The part of ``reduce``'s maps that depends on (n, m, k, l) alone, not
@@ -121,12 +126,15 @@ def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
     They are built by pushing the identity through the pipeline.  The stub
     map S and the product ES come from ``_stub_map``, which depends on
     (n, m, k, l) alone and keeps them per shape, so a miss on new weights
-    builds no elevation columns and makes no solve.  Q = D(n)^T (I - E S),
-    restricted to rows h = k..n-l, expands the residual in the orthogonal
-    basis; R is S plus C(m)^T Q[:kept] in the free rows, T = Q[kept:]."""
+    builds no elevation columns and makes no solve; a shape whose entry
+    exceeds _STUB_MEMO_DOUBLES builds them unmemoized.
+    Q = D(n)^T (I - E S), restricted to rows h = k..n-l, expands the
+    residual in the orthogonal basis; R is S plus C(m)^T Q[:kept] in the
+    free rows, T = Q[kept:]."""
     n, k, l = pn.n, pn.k, pn.l
     kept = m - k - l + 1  # indices i = k+l..m; as m < n, one index at least is discarded
-    S, ES = _stub_map(n, m, k, l)
+    stub = _stub_map if (k + l) * (n + 1) <= _STUB_MEMO_DOUBLES else _stub_map.__wrapped__
+    S, ES = stub(n, m, k, l)
     DT = d_build(pn).values.T
     # I - E S is the identity on the middle columns h = k..n-l, where S is zero
     Q = np.empty((n - k - l + 1, n + 1))
@@ -164,12 +172,12 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     at most.  A warm call is one lookup, the two matmuls R @ P and T @ P and
     the Parseval sum; the segments of a spline build D(n), C(m), C(n) and
     the Gram matrix once.  The stub map, which does not depend on the
-    weights, is memoized apart per (n, m, k, l), 1024 shapes at most, so a
-    miss on new weights for a known shape builds only D, C and the Gram
-    matrix.  The composed maps round differently from the
-    step-by-step pipeline: the reduced control points agree with it to
-    1e-13 of max(1, |P|) at n <= 20, the error and the discarded components
-    to 1e-13 relative.  A warm call returns the same bytes as a cold one.
+    weights, is memoized apart per (n, m, k, l), 1024 shapes of at most
+    1024 doubles each, so a miss on new weights for a known shape builds
+    only D, C and the Gram matrix.  The composed maps round differently
+    from the step-by-step pipeline: the reduced control points agree with
+    it to 1e-13 of max(1, |P|) at n <= 20, the error and the discarded
+    components to 1e-13 relative.  A warm call returns the same bytes as a cold one.
     """
     p = prob.source
     n, m, k, l = p.degree, prob.target_degree, prob.k, prob.l

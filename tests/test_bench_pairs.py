@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parents[1]
 
 
@@ -27,3 +29,10 @@ def test_claim_block_pairs_runs_by_seed_in_the_metric_direction():
     assert lower["change_q1_median_q3"][1] == 10.0
     assert lower["change_of_median"] == "-9.1%"
     assert lower["median_difference"] == 1.0
+
+
+def test_a_revision_that_cannot_be_exported_exits_2(tmp_path):
+    # exit 1 is compare's regression verdict, so a setup failure must not use it
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.export("no-such-revision", str(tmp_path / "tree"))
+    assert exc.value.code == 2

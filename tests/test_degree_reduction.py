@@ -470,6 +470,18 @@ class TestReductionMatrixMemo:
             dred._stub_map(*shape)
         assert dred._stub_map.cache_info().currsize == 4
 
+    def test_stub_memo_skips_shapes_above_its_entry_bound(self, rng):
+        # an entry holds (k+l)(n+1) doubles: 26 * 39 = 1014 is kept, 26 * 41 = 1066 is not
+        assert dred._STUB_MEMO_DOUBLES == 1024
+        clear_memos()
+        for n in (38, 40):
+            prob = ReductionProblem(BezierCurve(rng.normal(size=(n + 1, 2))), 30, 13, 13, 0.5, -0.5)
+            cold = result_bytes(reduce(prob))
+            dred._reduction_matrices.cache_clear()
+            assert result_bytes(reduce(prob)) == cold
+        info = dred._stub_map.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
     @pytest.mark.parametrize("m, n, k, l", [(0, 3, 1, 0), (1, 3, 0, 2), (5, 9, 2, 2), (1, 6, 1, 1), (19, 20, 2, 1)])
     def test_outer_elevation_columns_match_full_matrix(self, m, n, k, l):
         cols = np.array([*range(k), *range(m - l + 1, m + 1)], dtype=int)

@@ -9,16 +9,17 @@ Run from the root of a git checkout.  Each revision is exported with
 in that revision's tree, one run at a time.  Pair i uses seed N + i; within
 it each workload of BENCHMARK.json runs once per side, back to back, the
 parent first when i is even and the change first when i is odd, so neither
-side always runs second.  T is BENCHMARK.json's ``run_seconds`` unless
-``--seconds`` is given.  Each ``--trace W`` adds one ``--trace 1`` run of W
-per tree at seed N + pairs.  Then ``perfbench/compare.py`` compares the two
-record files.
+side always runs second.  T is BENCHMARK.json's ``run_seconds``, so a claim
+is measured at the run length the benchmark sets.  Each ``--trace W`` adds
+one ``--trace 1`` run of W per tree at seed N + pairs.  Then
+``perfbench/compare.py`` compares the two record files.
 
 The output holds every record, the compare table and its exit code, and a
 claim block for ``--claim``: each side's quartiles, the change of median,
 the pairs in which the change reads better, the parent's quartile distance
 and the distance of the medians.  The other end-to-end metrics of every
-workload get the same block.  Exit code: compare's, or 2 when a run fails.
+workload get the same block.  Exit code: compare's (1 means it found a
+regression), or 2 when a revision cannot be exported or a run fails.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ def parse_args(argv):
     ap.add_argument("--out", required=True)
     ap.add_argument("--trace", action="append", default=[], metavar="WORKLOAD",
                     help="add one --trace 1 run of WORKLOAD per tree (repeatable)")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run, for a trial of this tool (default: run_seconds)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -58,11 +57,14 @@ def fail(message: str):
 
 def export(rev: str, dest: str) -> str:
     """Extract ``rev`` into ``dest`` with git archive; return its short hash."""
-    short = subprocess.run(["git", "rev-parse", "--short", f"{rev}^{{commit}}"], cwd=ROOT, check=True,
-                           capture_output=True, text=True).stdout.strip()
-    os.makedirs(dest)
-    archive = subprocess.Popen(["git", "archive", "--format=tar", short], cwd=ROOT, stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    try:
+        short = subprocess.run(["git", "rev-parse", "--short", f"{rev}^{{commit}}"], cwd=ROOT, check=True,
+                               capture_output=True, text=True).stdout.strip()
+        os.makedirs(dest)
+        archive = subprocess.Popen(["git", "archive", "--format=tar", short], cwd=ROOT, stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    except subprocess.CalledProcessError as err:
+        fail(f"cannot export {rev}: {' '.join(err.cmd)} exited {err.returncode}")
     archive.stdout.close()
     if archive.wait() != 0:
         fail(f"git archive {rev} exited {archive.returncode}")
@@ -114,7 +116,7 @@ def main(argv=None) -> int:
     unknown = [w for w in args.trace + [claim_workload] if w not in workloads]
     if unknown or claim_metric not in specs:
         fail(f"unknown workload or metric in {unknown or args.claim}")
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
