@@ -192,7 +192,7 @@ def curve_to_json(curve: BezierCurve) -> dict:
     return {
         "degree": curve.degree,
         "dimension": curve.dimension,
-        "control_points": [[float(v) for v in row] for row in curve.control_points],
+        "control_points": curve.control_points.tolist(),
     }
 
 

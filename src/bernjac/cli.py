@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -120,7 +119,7 @@ def _cmd_reduce(args) -> int:
             "alpha": dp.alpha,
             "beta": dp.beta,
             "first_index": dp.k + dp.l,
-            "coefficients": [[float(v) for v in row] for row in res.discarded.coeffs],
+            "coefficients": res.discarded.coeffs.tolist(),
         },
     }
     _atomic_write(args.out, lambda fh: fh.write(json.dumps(payload, indent=2) + "\n"))
@@ -132,46 +131,23 @@ def _cmd_reduce(args) -> int:
 # bench
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    method: str
-    n: int
-    k: int
-    l: int
-    alpha: float
-    beta: float
-    repetitions: int
-    total_seconds: float
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    records: list[BenchRecord]
-    slopes: dict[str, float]
-
-
-def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    x = np.log([q[0] for q in points])
-    y = np.log([q[1] for q in points])
-    return float(np.polyfit(x, y, 1)[0])
-
-
 def run_benchmark(n_values, k: int = 1, l: int = 1, alpha: float = 0.0, beta: float = 0.0,
-                  reps: int = 1) -> BenchReport:
+                  reps: int = 1) -> tuple[dict, dict]:
     """Time every builder over the requested degrees at fixed (k, l, alpha, beta).
 
-    Per (method, n) the monotonic clock wraps the matrix-build call only.
-    Three warm-up builds per method, at the first degree only (at every
-    degree they would dominate the run for a cubic route at large n), are
-    discarded first.  Slopes are fitted per method once at least five
-    degrees are present.
+    Returns ``(seconds, slopes)``: ``seconds[(method, n)]`` is the summed
+    time of ``reps`` builds, the monotonic clock wrapping the matrix-build
+    call only, and ``slopes[method]`` is the least-squares slope of
+    log(seconds) against log(n), fitted once at least five degrees are
+    given.  Three warm-up builds per method, at the first degree only (at
+    every degree they would dominate the run for a cubic route at large n),
+    are discarded first.
     """
     if not n_values or len(set(n_values)) != len(n_values) or min(n_values) < 1:
         raise ValueError(f"benchmark requires a nonempty list of distinct degrees >= 1, got {list(n_values)}")
     if reps < 1:
         raise ValueError("benchmark repetitions must be >= 1")
-    records = []
+    seconds = {}
     for method in BENCH_METHODS:
         build = _builder(*_BENCH_TABLE[method])
         for _ in range(3):
@@ -183,30 +159,23 @@ def run_benchmark(n_values, k: int = 1, l: int = 1, alpha: float = 0.0, beta: fl
                 t0 = perf_counter()
                 build(p)
                 total += perf_counter() - t0
-            records.append(BenchRecord(method, n, k, l, alpha, beta, reps, total))
+            seconds[method, n] = total
     slopes = {}
-    for method in BENCH_METHODS:
-        pts = [(r.n, r.total_seconds) for r in records if r.method == method]
-        if len(pts) >= 5:
-            slopes[method] = fit_loglog_slope(pts)
-    return BenchReport(records, slopes)
-
-
-def bench_csv(report: BenchReport) -> str:
-    lines = ["kind,method,n,k,l,alpha,beta,repetitions,total_seconds,slope"]
-    for r in report.records:
-        lines.append(f"timing,{r.method},{r.n},{r.k},{r.l},{r.alpha!r},{r.beta!r},{r.repetitions},"
-                     f"{r.total_seconds!r},")
-    for method, slope in report.slopes.items():
-        lines.append(f"slope,{method},,,,,,,,{repr(slope)}")
-    return "\n".join(lines) + "\n"
+    if len(n_values) >= 5:
+        for m in BENCH_METHODS:
+            slopes[m] = float(np.polyfit(np.log(n_values), np.log([seconds[m, n] for n in n_values]), 1)[0])
+    return seconds, slopes
 
 
 def _cmd_bench(args) -> int:
     n_values = [int(v) for v in args.n_list.split(",") if v.strip()]
-    report = run_benchmark(n_values, k=args.k, l=args.l, alpha=args.alpha, beta=args.beta, reps=args.reps)
-    _atomic_write(args.out, lambda fh: fh.write(bench_csv(report)))
-    for method, slope in report.slopes.items():
+    seconds, slopes = run_benchmark(n_values, k=args.k, l=args.l, alpha=args.alpha, beta=args.beta, reps=args.reps)
+    params = f"{args.k},{args.l},{args.alpha!r},{args.beta!r},{args.reps}"
+    rows = ["kind,method,n,k,l,alpha,beta,repetitions,total_seconds,slope",
+            *(f"timing,{method},{n},{params},{total!r}," for (method, n), total in seconds.items()),
+            *(f"slope,{method},,,,,,,,{slope!r}" for method, slope in slopes.items())]
+    _atomic_write(args.out, lambda fh: fh.write("\n".join(rows) + "\n"))
+    for method, slope in slopes.items():
         print(f"{method} slope {slope:.3f}")
     return 0
 
@@ -269,9 +238,10 @@ def run_checks(p: TransformParams) -> dict:
         M = np.abs(C @ bernstein_gram(p) @ C.T)
         norms = np.sqrt(np.diag(M))
         tol = _ORTHO_TOL * norms[:, None] * norms
-        off = M - tol
-        np.fill_diagonal(off, -math.inf)
-        checks.append(_entrywise("orthogonality", M, off, tol,
+        diag = np.eye(p.dim, dtype=bool)
+        off = np.where(diag, -math.inf, M - tol)
+        # the deviation is off-diagonal only: 0 where there is no such entry (dim 1)
+        checks.append(_entrywise("orthogonality", np.where(diag, 0.0, M), off, tol,
                                  lambda r, c: {"i": p.i_indices()[r], "j": p.i_indices()[c]}))
 
         return {"params": {"n": p.n, "k": p.k, "l": p.l, "alpha": p.alpha, "beta": p.beta},

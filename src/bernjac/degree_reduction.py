@@ -70,9 +70,12 @@ def _elevation(m: int, n: int, cols=slice(None)) -> np.ndarray:
     """(n+1) x (m+1) matrix taking degree-m control points to degree n;
     entry (j, i) is C(m,i) C(n-m,j-i) / C(n,j).  ``cols`` (an index array)
     builds only those columns, each bit-identical to the full matrix's."""
-    bm, bd, bn = (np.array(_float_binomials(d)) for d in (m, n - m, n))
-    if not np.all(np.isfinite(bn)):
+    # log C(n, n/2) > 710 > log(DBL_MAX) refuses a huge n before its rows are
+    # built; the exact test behind it keeps the boundary (1020 passes, 1021 not)
+    if (math.lgamma(n + 1) - 2 * math.lgamma(n / 2 + 1) > 710
+            or not np.all(np.isfinite(bn := np.array(_float_binomials(n))))):
         raise ValueError(f"cannot elevate to degree {n}: its binomial coefficients overflow a double")
+    bm, bd = np.array(_float_binomials(m)), np.array(_float_binomials(n - m))
     i = np.arange(m + 1)[cols]
     d = np.arange(n + 1)[:, None] - i
     return np.where((d >= 0) & (d <= n - m), bm[i] * np.take(bd, d, mode="clip") / bn[:, None], 0.0)
@@ -156,8 +159,8 @@ def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
 def reduce(prob: ReductionProblem) -> ReductionResult:
     """L2-optimal constrained degree reduction.
 
-    Pipeline: force the stub's first k and last l control points by two
-    triangular solves on corners of the elevation matrix E, so that E @ stub
+    Pipeline: force the stub's first k and last l control points by one
+    solve on both corners of the elevation matrix E, so that E @ stub
     shares the source's derivatives of orders < k at t=0 and < l at t=1;
     expand the residual in the orthogonal modified Jacobi basis, truncate to
     indices <= m, map the kept part back to the degree-m Bernstein basis,

@@ -64,12 +64,19 @@ def hahn_eval(n: int, x: float, p: HahnParams) -> float:
     """
     if not 0 <= n <= p.N:
         raise ValueError(f"Hahn degree must satisfy 0 <= n <= N, got n={n}, N={p.N}")
+    return _hahn_series(n, n, x, p)
+
+
+def _hahn_series(n: int, s, x, p: HahnParams) -> float:
+    """The terminating series sum_j (-n)_j (s+alpha+beta+1)_j (-x)_j /
+    (j! (alpha+1)_j (-N)_j), term by term through the running ratio: s = n
+    gives the Hahn polynomial, s = x the dual Hahn one."""
     a, b, N = p.alpha, p.beta, p.N
     total = 0.0
     term = 1.0
     for j in range(n):
         total += term
-        term *= (j - n) * (n + a + b + 1.0 + j) * (j - x) / ((j + 1.0) * (a + 1.0 + j) * (j - N))
+        term *= (j - n) * (s + a + b + 1.0 + j) * (j - x) / ((j + 1.0) * (a + 1.0 + j) * (j - N))
     return total + term
 
 
@@ -100,13 +107,7 @@ def dual_hahn_eval(n: int, x: int, p: HahnParams) -> float:
         raise ValueError(f"dual Hahn degree must satisfy 0 <= n <= N, got n={n}, N={p.N}")
     if not 0 <= x <= p.N:
         raise ValueError(f"dual Hahn node must satisfy 0 <= x <= N, got x={x}, N={p.N}")
-    a, b, N = p.alpha, p.beta, p.N
-    total = 0.0
-    term = 1.0
-    for j in range(n):
-        total += term
-        term *= (j - n) * (x + a + b + 1.0 + j) * (j - x) / ((j + 1.0) * (a + 1.0 + j) * (j - N))
-    return total + term
+    return _hahn_series(n, x, x, p)
 
 
 def _float_binomials(n: int) -> list[float]:

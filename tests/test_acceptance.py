@@ -152,10 +152,9 @@ def test_criterion_4_orthogonality():
 
 
 def test_criterion_5_complexity_reproduction():
-    slope_rep = run_benchmark([50, 100, 200, 400, 800], k=1, l=1, reps=1)
-    slopes = slope_rep.slopes
-    order_rep = run_benchmark([15], k=1, l=1, reps=100)
-    totals = {r.method: r.total_seconds for r in order_rep.records}
+    _, slopes = run_benchmark([50, 100, 200, 400, 800], k=1, l=1, reps=1)
+    order_seconds, _ = run_benchmark([15], k=1, l=1, reps=100)
+    totals = {method: total for (method, _), total in order_seconds.items()}
     ordering = {
         "thm1<oracle_c": totals["thm1"] < totals["oracle_c"],
         "thm2<oracle_c": totals["thm2"] < totals["oracle_c"],

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -17,7 +18,7 @@ import bernjac.degree_reduction as dred
 import bernjac.jacobi_to_bernstein as j2b
 from bernjac.bases import TransformParams
 from bernjac.bernstein_to_jacobi import d_oracle
-from bernjac.cli import BENCH_METHODS, main, matrix_csv, run_benchmark
+from bernjac.cli import BENCH_METHODS, main, matrix_csv, run_benchmark, run_checks
 from bernjac.jacobi_to_bernstein import c_oracle
 
 # what main prints for an OverflowError escaping the library
@@ -298,10 +299,26 @@ class TestBenchCommand:
         assert not out.exists()
 
     def test_run_benchmark_slopes_need_five_degrees(self):
-        rep = run_benchmark([5, 6, 7, 8], reps=1)
-        assert rep.slopes == {}
-        rep = run_benchmark([5, 6, 7, 8, 9], reps=1)
-        assert list(rep.slopes) == list(BENCH_METHODS)
+        _, slopes = run_benchmark([5, 6, 7, 8], reps=1)
+        assert slopes == {}
+        _, slopes = run_benchmark([5, 6, 7, 8, 9], reps=1)
+        assert list(slopes) == list(BENCH_METHODS)
+
+    def test_columns_echo_the_flags(self, tmp_path, capsys, monkeypatch):
+        ticks = itertools.count()
+        monkeypatch.setattr(cli, "perf_counter", lambda: next(ticks) * 1e-3)  # 1 ms per call
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--n-list", "3,4,5,6,7", "-k", "1", "-l", "0", "--alpha=0.5",
+                     "--beta=-0.25", "--reps", "2", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        degrees = ["3", "4", "5", "6", "7"]
+        timing, slope = rows[1:31], rows[31:]
+        assert [r[:3] for r in timing] == [["timing", m, n] for m in BENCH_METHODS for n in degrees]
+        assert all(r[3:8] == ["1", "0", "0.5", "-0.25", "2"] and r[9] == "" for r in timing)
+        assert all(float(r[8]) == pytest.approx(2e-3) for r in timing)  # two 1 ms builds
+        assert [r[:9] for r in slope] == [["slope", m, "", "", "", "", "", "", ""] for m in BENCH_METHODS]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"{r[1]} slope {float(r[9]):.3f}" for r in slope]
 
 
 class TestCheckCommand:
@@ -318,6 +335,16 @@ class TestCheckCommand:
         rc = main(["check", "-n", "2", "-k", "1", "-l", "1", "--alpha", "3.7",
                    "--beta", "-0.9"])
         assert rc == 0
+
+    @pytest.mark.parametrize("n,k,l", [(0, 0, 0), (2, 1, 1), (5, 2, 3)])
+    def test_dimension_one_reports_no_deviation(self, n, k, l):
+        # no off-diagonal Gram entry: the diagonal is not an orthogonality deviation
+        report = run_checks(TransformParams(n, k, l))
+        ortho = {ch["name"]: ch for ch in report["checks"]}["orthogonality"]
+        assert ortho["max_deviation"] == 0.0
+        for ch in report["checks"]:
+            if ch["passed"]:
+                assert ch["max_deviation"] <= ch["tolerance"]
 
     def test_invalid_params(self, capsys):
         assert main(["check", "-n", "1", "-k", "2", "-l", "2"]) == 2

@@ -102,6 +102,23 @@ class TestElevate:
         with pytest.raises(ValueError, match="overflow"):
             elevate(BezierCurve(np.ones((3, 1))), 1100)
 
+    def test_overflow_boundary(self):
+        # C(1020, 510) is a finite double and C(1021, 510) is not
+        assert elevate(BezierCurve(np.ones((1, 1))), 1020).degree == 1020
+        with pytest.raises(ValueError, match="overflow"):
+            elevate(BezierCurve(np.ones((1, 1))), 1021)
+
+    def test_huge_degree_refused_before_building(self, monkeypatch):
+        real = dred._float_binomials
+
+        def small_only(n):
+            assert n < 10**4, f"built binomial row of degree {n}"
+            return real(n)
+
+        monkeypatch.setattr(dred, "_float_binomials", small_only)
+        with pytest.raises(ValueError, match="overflow"):
+            elevate(BezierCurve(np.zeros((1, 1))), 10**12)
+
     @pytest.mark.parametrize("m,n", [(0, 7), (3, 3), (4, 11), (8, 20), (3, 40)])
     def test_matches_exact_elevation_matrix(self, rng, m, n):
         pts = rng.normal(size=(m + 1, 2))
