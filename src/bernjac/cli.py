@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     except ZeroDivisionError as exc:
         print(f"error: arithmetic divides by zero: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,19 +66,17 @@ class ReductionResult:
     discarded: ModJacobiCoeffs
 
 
-def _elevation(m: int, n: int, cols=slice(None)) -> np.ndarray:
+def _elevation(m: int, n: int) -> np.ndarray:
     """(n+1) x (m+1) matrix taking degree-m control points to degree n;
-    entry (j, i) is C(m,i) C(n-m,j-i) / C(n,j).  ``cols`` (an index array)
-    builds only those columns, each bit-identical to the full matrix's."""
+    entry (j, i) is C(m,i) C(n-m,j-i) / C(n,j)."""
     # log C(n, n/2) > 710 > log(DBL_MAX) refuses a huge n before its rows are
     # built; the exact test behind it keeps the boundary (1020 passes, 1021 not)
     if (math.lgamma(n + 1) - 2 * math.lgamma(n / 2 + 1) > 710
             or not np.all(np.isfinite(bn := np.array(_float_binomials(n))))):
         raise ValueError(f"cannot elevate to degree {n}: its binomial coefficients overflow a double")
     bm, bd = np.array(_float_binomials(m)), np.array(_float_binomials(n - m))
-    i = np.arange(m + 1)[cols]
-    d = np.arange(n + 1)[:, None] - i
-    return np.where((d >= 0) & (d <= n - m), bm[i] * np.take(bd, d, mode="clip") / bn[:, None], 0.0)
+    d = np.arange(n + 1)[:, None] - np.arange(m + 1)
+    return np.where((d >= 0) & (d <= n - m), bm * np.take(bd, d, mode="clip") / bn[:, None], 0.0)
 
 
 def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
@@ -101,15 +99,14 @@ def _stub_map(n: int, m: int, k: int, l: int):
     """The part of ``reduce``'s maps that depends on (n, m, k, l) alone, not
     on the weights.  S inverts the two corners of the elevation matrix E, so
     that E S P shares the derivatives of P of orders < k at t=0 and < l at
-    t=1; only E's first k and last l columns are built.  ES is their rows
-    h = k..n-l times S.  Both are shared, so read-only."""
-    Eo = _elevation(m, n, np.array([*range(k), *range(m - l + 1, m + 1)], dtype=int))
+    t=1.  ES is the rows h = k..n-l of E's first k and last l columns times
+    S.  Both are shared, so read-only."""
+    E = _elevation(m, n)
     # one solve on both corners of E
     S = np.zeros((k + l, k + l))
-    S[:k, :k], S[k:, k:] = Eo[:k, :k], Eo[n - l + 1:, k:]
-    if k + l:
-        S = np.linalg.solve(S, np.eye(k + l))
-    ES = Eo[k:n - l + 1] @ S
+    S[:k, :k], S[k:, k:] = E[:k, :k], E[n - l + 1:, m - l + 1:]
+    S = np.linalg.solve(S, np.eye(k + l))
+    ES = np.hstack((E[k:n - l + 1, :k], E[k:n - l + 1, m - l + 1:])) @ S
     for a in (S, ES):
         a.flags.writeable = False
     return S, ES
@@ -129,7 +126,7 @@ def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
     They are built by pushing the identity through the pipeline.  The stub
     map S and the product ES come from ``_stub_map``, which depends on
     (n, m, k, l) alone and keeps them per shape, so a miss on new weights
-    builds no elevation columns and makes no solve; a shape whose entry
+    builds no elevation matrix and makes no solve; a shape whose entry
     exceeds _STUB_MEMO_DOUBLES builds them unmemoized.
     Q = D(n)^T (I - E S), restricted to rows h = k..n-l, expands the
     residual in the orthogonal basis; R is S plus C(m)^T Q[:kept] in the
@@ -171,16 +168,16 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     For fixed (n, m, k, l, alpha, beta) that pipeline is a linear map of the
     control points P.  It is composed once into R (P to the reduced control
     points) and T (P to the discarded components) and memoized, with the
-    Parseval weights w, on those values and the builders in use, 8 entries
-    at most.  A warm call is one lookup, the two matmuls R @ P and T @ P and
-    the Parseval sum; the segments of a spline build D(n), C(m), C(n) and
-    the Gram matrix once.  The stub map, which does not depend on the
-    weights, is memoized apart per (n, m, k, l), 1024 shapes of at most
-    1024 doubles each, so a miss on new weights for a known shape builds
-    only D, C and the Gram matrix.  The composed maps round differently
-    from the step-by-step pipeline: the reduced control points agree with
-    it to 1e-13 of max(1, |P|) at n <= 20, the error and the discarded
-    components to 1e-13 relative.  A warm call returns the same bytes as a cold one.
+    Parseval weights w, on those values and the builders in use.  A warm
+    call is one lookup, the two matmuls R @ P and T @ P and the Parseval
+    sum; the segments of a spline build D(n), C(m), C(n) and the Gram
+    matrix once.  The stub map, which does not depend on the weights, is
+    memoized apart per (n, m, k, l), so a miss on new weights for a known
+    shape builds only D, C and the Gram matrix.  The composed maps round
+    differently from the step-by-step pipeline: the reduced control points
+    agree with it to 1e-13 of max(1, |P|) at n <= 20, the error and the
+    discarded components to 1e-13 relative.  A warm call returns the same
+    bytes as a cold one.
     """
     p = prob.source
     n, m, k, l = p.degree, prob.target_degree, prob.k, prob.l

@@ -6,6 +6,7 @@ from conftest import ALPHA_BETA, eval_mod_jacobi, eval_shifted_jacobi
 
 from bernjac.bases import (
     BezierCurve,
+    ConnectionMatrix,
     ModJacobiCoeffs,
     TransformParams,
     bernstein_gram,
@@ -210,6 +211,11 @@ class TestCurveJson:
         c2 = curve_from_json(curve_to_json(c))
         np.testing.assert_array_equal(c.control_points, c2.control_points)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 2, 2)])
+    def test_malformed_control_point_array_rejected(self, shape):
+        with pytest.raises(ValueError, match="must form an"):
+            BezierCurve(np.zeros(shape))
+
     def test_scalar_curve_coerced(self):
         c = BezierCurve(np.array([0.0, 1.0, 0.0]))
         assert c.dimension == 1
@@ -243,3 +249,14 @@ def test_mod_jacobi_coeffs_indexing():
     assert mc.coeff(5) == 4.0
     with pytest.raises(IndexError):
         mc.coeff(1)
+
+
+def test_mod_jacobi_coeffs_need_one_row_per_index():
+    # the space of TransformParams(5, 1, 1) has indices i = 2..5
+    with pytest.raises(ValueError, match="must have 4 rows"):
+        ModJacobiCoeffs(TransformParams(5, 1, 1), np.zeros(3))
+
+
+def test_connection_matrix_rows_name_an_index():
+    with pytest.raises(ValueError, match="rows must be 'i' or 'h'"):
+        ConnectionMatrix(TransformParams(5, 1, 1), np.zeros((4, 4)), "x")

@@ -298,6 +298,12 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith(OVERFLOW_ERROR)
         assert not out.exists()
 
+    def test_zero_reps_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["bench", "--n-list", "3", "--reps", "0", "--out", str(out)]) == 2
+        assert "benchmark repetitions must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_benchmark_slopes_need_five_degrees(self):
         _, slopes = run_benchmark([5, 6, 7, 8], reps=1)
         assert slopes == {}
@@ -483,3 +489,29 @@ def test_out_path_that_is_a_directory_names_out_path_exit_2_no_file(tmp_path, mo
     assert "'dir'" in err and ".bernjac-" not in err
     assert sorted(f.name for f in tmp_path.iterdir()) == ["curve.json", "dir"]
     assert list((tmp_path / "dir").iterdir()) == []
+
+
+# numpy's message for an array the host cannot hold (``matrix c -n 100000``)
+OUT_OF_MEMORY = "Unable to allocate 74.5 GiB for an array with shape (100001, 100001) and data type float64"
+
+
+def out_of_memory(p):
+    raise MemoryError(OUT_OF_MEMORY)
+
+
+@pytest.mark.parametrize("command, module, name", [
+    (["matrix", "c", "-n", "5", "--out", "x.out"], j2b, "c_theorem2"),
+    # a substituted builder is a new key of reduce's memo, so the call misses
+    (["reduce", "--in", "curve.json", "-m", "1", "--out", "x.out"], dred, "d_theorem4"),
+    (["check", "-n", "5"], b2j, "d_oracle"),
+    (["bench", "--n-list", "3", "--out", "x.out"], j2b, "c_theorem1"),
+], ids=["matrix", "reduce", "check", "bench"])
+def test_out_of_memory_exit_2_no_file(tmp_path, monkeypatch, capsys, command, module, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curve.json").write_text('{"degree": 2, "dimension": 1, "control_points": [[0], [1], [0]]}')
+    monkeypatch.setattr(module, name, out_of_memory)
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {OUT_OF_MEMORY}\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["curve.json"]

@@ -499,11 +499,6 @@ class TestReductionMatrixMemo:
         info = dred._stub_map.cache_info()
         assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
 
-    @pytest.mark.parametrize("m, n, k, l", [(0, 3, 1, 0), (1, 3, 0, 2), (5, 9, 2, 2), (1, 6, 1, 1), (19, 20, 2, 1)])
-    def test_outer_elevation_columns_match_full_matrix(self, m, n, k, l):
-        cols = np.array([*range(k), *range(m - l + 1, m + 1)], dtype=int)
-        assert dred._elevation(m, n, cols).tobytes() == dred._elevation(m, n)[:, cols].tobytes()
-
     def test_writing_into_result_leaves_next_call_unchanged(self, rng):
         # m = k+l-1 (no index kept), a middle m and m = n (nothing built)
         source = BezierCurve(rng.normal(size=(12, 2)))
