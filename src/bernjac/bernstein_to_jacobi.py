@@ -149,6 +149,10 @@ def d_theorem4(p: TransformParams) -> ConnectionMatrix:
 def d_oracle(p: TransformParams) -> ConnectionMatrix:
     """Closed-form literature evaluation with gamma-based binomials (cubic cost)."""
     n, k, l = p.n, p.k, p.l
+    if n == 0:
+        # the space of constants, where B_0^0 = J_0 = 1; the general formula
+        # takes log(alpha + beta + 1) there, undefined for alpha + beta <= -1
+        return ConnectionMatrix(p, np.ones((1, 1)), "h")
     a, b, sig = p.alpha, p.beta, p.sigma
     m = n - k - l
     binom_n = _float_binomials(n)

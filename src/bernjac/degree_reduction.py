@@ -42,14 +42,15 @@ class ReductionProblem:
         n, m = self.source.degree, self.target_degree
         if not _is_count(m) or m < 0:
             raise ValueError(f"target degree must be a nonnegative integer, got {m!r}")
-        # validates k, l, alpha, beta and k + l <= n
-        TransformParams(n, self.k, self.l, self.alpha, self.beta)
+        # validates k, l, alpha, beta and k + l <= n; reduce reads the space kept
+        # here, which is no field, so equality, hash and repr do not see it
+        object.__setattr__(self, "_space", TransformParams(n, self.k, self.l, self.alpha, self.beta))
         if m < self.k + self.l - 1:
             raise ValueError(
                 f"target degree {m} cannot satisfy {self.k}+{self.l} endpoint constraints")
         if m > n:
             raise ValueError(f"target degree {m} exceeds source degree {n}")
-        if not np.all(np.isfinite(self.source.control_points)):
+        if not np.isfinite(self.source.control_points).all():
             raise ValueError("source control points must be finite numbers")
 
 
@@ -181,7 +182,7 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     """
     p = prob.source
     n, m, k, l = p.degree, prob.target_degree, prob.k, prob.l
-    pn = TransformParams(n, k, l, prob.alpha, prob.beta)
+    pn = prob._space
     if m == n:
         return ReductionResult(BezierCurve(p.control_points.copy()), 0.0,
                                ModJacobiCoeffs(pn, np.zeros((pn.dim, p.dimension))))

@@ -52,6 +52,12 @@ class TestKnownValues:
         np.testing.assert_allclose(m.values, FROZEN_D_411, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("a,b", [(-0.5, -0.5), (-0.9, -0.5), (0.5, -0.5), (3.7, 0.0)])
+def test_oracle_constant_space(a, b):
+    # B_0^0 = J_0 = 1, also where alpha + beta <= -1 leaves the formula undefined
+    assert d_oracle(TransformParams(0, 0, 0, a, b)).values.tolist() == [[1.0]]
+
+
 def test_matrix_inverse_oracle():
     # D must invert C (the spec's stated reference for the full example):
     # sum_i d[h][i] c[i][h'] = delta, so D equals inv(C) in this layout

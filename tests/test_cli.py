@@ -352,6 +352,10 @@ class TestCheckCommand:
             if ch["passed"]:
                 assert ch["max_deviation"] <= ch["tolerance"]
 
+    def test_constant_space_with_weight_sum_below_minus_one(self, capsys):
+        assert main(["check", "-n", "0", "--alpha=-0.5", "--beta=-0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
     def test_invalid_params(self, capsys):
         assert main(["check", "-n", "1", "-k", "2", "-l", "2"]) == 2
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -443,12 +444,35 @@ class TestReductionMatrixMemo:
         monkeypatch.setattr(b2j, "ConnectionMatrix", refuse)
         monkeypatch.setattr(j2b, "ConnectionMatrix", refuse)
         monkeypatch.setattr(bases, "beta_fn", refuse)
+        # the problem validated its space when it was built
+        monkeypatch.setattr(dred, "TransformParams", refuse)
         for name in np.linalg.__all__:
             if callable(getattr(np.linalg, name)):
                 monkeypatch.setattr(np.linalg, name, refuse)
         misses = dred._reduction_matrices.cache_info().misses
         assert result_bytes(reduce(prob)) == cold
         assert dred._reduction_matrices.cache_info().misses == misses
+
+    def test_replaced_problem_gets_its_own_space(self, rng):
+        class HashableCurve(BezierCurve):
+            __hash__ = object.__hash__
+
+        prob = ReductionProblem(HashableCurve(rng.normal(size=(15, 2))), 7, 2, 1, 0.5, -0.5)
+        reduce(prob)
+        with pytest.raises(ValueError):
+            dataclasses.replace(prob, k=14)
+        moved = dataclasses.replace(prob, alpha=-0.9)
+        res = reduce(moved)
+        assert res.discarded.params == TransformParams(14, 2, 1, -0.9, -0.5)
+        fresh = ReductionProblem(prob.source, 7, 2, 1, -0.9, -0.5)
+        assert result_bytes(res) == result_bytes(reduce(fresh))
+        # the kept space is no field: equality, hash and repr see the six fields alone
+        assert moved == fresh and hash(moved) == hash(fresh)
+        assert hash(prob) == hash((prob.source, 7, 2, 1, 0.5, -0.5))
+        assert [f.name for f in dataclasses.fields(prob)] == ["source", "target_degree", "k", "l",
+                                                              "alpha", "beta"]
+        assert repr(prob) == (f"ReductionProblem(source={prob.source!r}, target_degree=7, k=2, l=1, "
+                              "alpha=0.5, beta=-0.5)")
 
     def test_new_weights_on_a_known_shape_reuse_its_stub(self, rng, monkeypatch):
         pts = rng.normal(size=(15, 2))
