@@ -1,13 +1,12 @@
 """Containers of the endpoint-constrained space (its parameters, connection
-matrices, modified Jacobi coefficients and Bezier curves), point evaluation
-by de Casteljau, plus the exact Beta-function Gram matrix that serves as
-the independent oracle for all orthogonality and least-squares claims.
+matrices, modified Jacobi coefficients and Bezier curves), plus the exact
+Beta-function Gram matrix that serves as the independent oracle for all
+orthogonality and least-squares claims.
 
 The constrained space of degree <= n holds polynomials whose derivatives of
 order < k vanish at 0 and of order < l vanish at 1; its dimension is
-n-k-l+1.  Public containers are addressed by the mathematical indices
-(h = k..n-l for Bernstein, i = k+l..n for modified Jacobi); storage offsets
-never leak.
+n-k-l+1.  Its Bernstein indices are h = k..n-l and its modified Jacobi
+indices i = k+l..n.  Containers holding arrays compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -67,15 +66,14 @@ class TransformParams:
         return range(self.k + self.l, self.n + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionMatrix:
     """Dense connection-coefficient matrix between the two constrained bases.
 
     ``rows`` names the row index: ``"i"`` (modified Jacobi, i = k+l..n) for
     the Jacobi-to-Bernstein matrix c and the bridge factors u, ``"h"``
     (Bernstein, h = k..n-l) for the Bernstein-to-Jacobi matrix d; columns
-    take the other index.  Use ``at`` for index-safe access by the
-    mathematical indices.  ``recurrence_steps`` counts executed three-term
+    take the other index.  ``recurrence_steps`` counts executed three-term
     steps (recurrence routes only).
     """
 
@@ -96,16 +94,8 @@ class ConnectionMatrix:
         """Range of the index called ``name`` ("i" or "h")."""
         return self.params.i_indices() if name == "i" else self.params.h_indices()
 
-    def at(self, r: int, c: int) -> float:
-        rr, cr = self.indices(self.rows), self.indices(self.cols)
-        if r not in rr:
-            raise IndexError(f"row index {self.rows} must lie in [{rr.start}, {rr.stop - 1}], got {r}")
-        if c not in cr:
-            raise IndexError(f"column index {self.cols} must lie in [{cr.start}, {cr.stop - 1}], got {c}")
-        return float(self.values[r - rr.start, c - cr.start])
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModJacobiCoeffs:
     """Coefficients relative to the modified Jacobi basis J_{k+l}, ..., J_n."""
 
@@ -118,14 +108,8 @@ class ModJacobiCoeffs:
             raise ValueError(f"coefficient array must have {self.params.dim} rows, got shape {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
-    def coeff(self, i: int):
-        p = self.params
-        if not p.k + p.l <= i <= p.n:
-            raise IndexError(f"modified Jacobi index i must lie in [{p.k + p.l}, {p.n}], got {i}")
-        return self.coeffs[i - p.k - p.l]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BezierCurve:
     """Degree-n Bezier curve with control points stored as an (n+1, d) array.
 
@@ -149,22 +133,6 @@ class BezierCurve:
     @property
     def dimension(self) -> int:
         return self.control_points.shape[1]
-
-    def point(self, x: float) -> np.ndarray:
-        return de_casteljau(self.control_points, x)
-
-
-def de_casteljau(coeffs: np.ndarray, x: float):
-    """Evaluate a polynomial from its full Bernstein coefficient vector.
-
-    Repeated convex combinations; backward stable on [0, 1] and still exact
-    (as a polynomial) for arguments slightly outside.
-    """
-    b = np.array(coeffs, dtype=float)
-    n = b.shape[0] - 1
-    for r in range(n):
-        b = (1.0 - x) * b[:n - r] + x * b[1:n - r + 1]
-    return b[0]
 
 
 def bernstein_gram(p: TransformParams) -> np.ndarray:

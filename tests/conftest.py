@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -118,6 +119,33 @@ def eval_mod_jacobi(i: int, p: TransformParams, x: float) -> float:
         raise ValueError(f"index i must lie in [{p.k + p.l}, {p.n}], got {i}")
     return (1.0 - x) ** p.l * x ** p.k * eval_shifted_jacobi(
         i - p.k - p.l, p.alpha + 2.0 * p.l, p.beta + 2.0 * p.k, x)
+
+
+def de_casteljau(coeffs, x: float):
+    """Evaluate a polynomial from its full Bernstein coefficient vector.
+
+    Repeated convex combinations; backward stable on [0, 1].
+    """
+    b = np.array(coeffs, dtype=float)
+    n = b.shape[0] - 1
+    for r in range(n):
+        b = (1.0 - x) * b[:n - r] + x * b[1:n - r + 1]
+    return b[0]
+
+
+def end_derivatives(pts, order: int, x0: float) -> list:
+    """Derivatives of orders j < ``order`` at the end t = x0 (0 or 1) of the
+    Bezier curve with control points ``pts``, exactly: n!/(n-j)! times the
+    j-th forward difference of the points at that end."""
+    pts = np.asarray(pts, dtype=float)
+    n = pts.shape[0] - 1
+    return [math.perm(n, j) * np.diff(pts, j, axis=0)[-1 if x0 else 0] for j in range(order)]
+
+
+def entry(m, r: int, c: int) -> float:
+    """Entry of a ConnectionMatrix at row index r and column index c, both
+    by their mathematical values (i = k+l..n, h = k..n-l)."""
+    return m.values[r - m.indices(m.rows).start, c - m.indices(m.cols).start]
 
 
 @pytest.fixture

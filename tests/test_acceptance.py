@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, hahn_series_scale, pochhammer
+from conftest import ALPHA_BETA, end_derivatives, hahn_series_scale, pochhammer
 
 from bernjac.bases import BezierCurve, TransformParams, bernstein_gram
 from bernjac.bernstein_to_jacobi import d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
@@ -219,7 +219,6 @@ def test_criterion_6_hahn_kernel():
 
 def test_criterion_7_degree_reduction():
     rng = np.random.default_rng(715)
-    fd_step = 1e-5
     cases = 0
     worst = {"orthogonality": -math.inf, "optimality": -math.inf,
              "constraints": -math.inf, "parseval": -math.inf}
@@ -263,12 +262,8 @@ def test_criterion_7_degree_reduction():
 
         # endpoint derivative matching
         for x0, order in ((0.0, k), (1.0, l)):
-            for j in range(order):
-                if j == 0:
-                    dp, dr = curve.point(x0), res.reduced.point(x0)
-                else:
-                    dp = (curve.point(x0 + fd_step) - curve.point(x0 - fd_step)) / (2 * fd_step)
-                    dr = (res.reduced.point(x0 + fd_step) - res.reduced.point(x0 - fd_step)) / (2 * fd_step)
+            for dp, dr in zip(end_derivatives(curve.control_points, order, x0),
+                              end_derivatives(res.reduced.control_points, order, x0)):
                 dev = float(np.max(np.abs(dp - dr)))
                 worst["constraints"] = max(worst["constraints"],
                                            dev - 1e-6 * (1.0 + float(np.max(np.abs(dp)))))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, eval_mod_jacobi, eval_shifted_jacobi
+from conftest import ALPHA_BETA, de_casteljau, eval_mod_jacobi, eval_shifted_jacobi
 
 from bernjac.bases import (
     BezierCurve,
@@ -12,7 +12,6 @@ from bernjac.bases import (
     bernstein_gram,
     curve_from_json,
     curve_to_json,
-    de_casteljau,
 )
 from bernjac.jacobi_to_bernstein import c_theorem2
 
@@ -240,15 +239,6 @@ class TestCurveJson:
     def test_invalid_objects(self, obj):
         with pytest.raises(ValueError):
             curve_from_json(obj)
-
-
-def test_mod_jacobi_coeffs_indexing():
-    p = TransformParams(5, 1, 1)
-    mc = ModJacobiCoeffs(p, [1.0, 2.0, 3.0, 4.0])
-    assert mc.coeff(2) == 1.0
-    assert mc.coeff(5) == 4.0
-    with pytest.raises(IndexError):
-        mc.coeff(1)
 
 
 def test_mod_jacobi_coeffs_need_one_row_per_index():

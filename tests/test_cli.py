@@ -4,8 +4,12 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,3 +523,16 @@ def test_out_of_memory_exit_2_no_file(tmp_path, monkeypatch, capsys, command, mo
     assert captured.out == ""
     assert captured.err == f"error: {OUT_OF_MEMORY}\n"
     assert [f.name for f in tmp_path.iterdir()] == ["curve.json"]
+
+
+def test_module_entry_point_runs_main():
+    # python -m bernjac.cli, in a child that finds this package first
+    env = {**os.environ, "PYTHONPATH": str(Path(bernjac.__file__).parents[1])}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "bernjac.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+    ok = run("check", "-n", "6", "-k", "1", "-l", "1", "--alpha", "0.5", "--beta", "-0.5")
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["params"]["n"] == 6
+    assert run("check", "--no-such-flag").returncode == 2

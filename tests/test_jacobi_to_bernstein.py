@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, assert_mixed_close, eval_mod_jacobi
+from conftest import ALPHA_BETA, assert_mixed_close, de_casteljau, entry, eval_mod_jacobi
 
-from bernjac.bases import TransformParams, de_casteljau
+from bernjac.bases import TransformParams
 from bernjac.jacobi_to_bernstein import c_direct, c_oracle, c_theorem1, c_theorem2
 from bernjac.specialfn import HahnParams, _float_binomials, hahn_eval
 
@@ -34,7 +34,7 @@ class TestKnownValues:
         # x(1-x) = (1/2) B_1^2
         m = route(TransformParams(2, 1, 1, 0.3, 1.2))
         assert m.values.shape == (1, 1)
-        assert m.at(2, 1) == pytest.approx(0.5, rel=1e-14)
+        assert entry(m, 2, 1) == pytest.approx(0.5, rel=1e-14)
 
     def test_legendre_row_one(self, route):
         # R_1 = 2x-1 = -B_0^2 + 0*B_1^2 + B_2^2
@@ -54,13 +54,13 @@ class TestKnownValues:
 def test_theorem1_seed_value():
     # c[2][3] at n=4, k=l=1: empty pochhammer over empty factorial / C(4,1)
     m = c_theorem1(TransformParams(4, 1, 1))
-    assert m.at(2, 3) == pytest.approx(0.25, rel=1e-15)
+    assert entry(m, 2, 3) == pytest.approx(0.25, rel=1e-15)
 
 
 def test_theorem2_seed_value():
     # c[2][1] at n=3, k=l=1: C(3,1)^{-1} C(1,0)
     m = c_theorem2(TransformParams(3, 1, 1, 0.7, -0.2))
-    assert m.at(2, 1) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert entry(m, 2, 1) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_first_row_positive():
@@ -160,12 +160,3 @@ def test_direct_and_oracle_report_no_steps():
     p = TransformParams(5, 1, 0)
     assert c_direct(p).recurrence_steps is None
     assert c_oracle(p).recurrence_steps is None
-
-
-def test_index_bounds():
-    m = c_theorem2(TransformParams(5, 1, 1))
-    with pytest.raises(IndexError):
-        m.at(1, 1)
-    with pytest.raises(IndexError):
-        m.at(2, 5)
-    assert m.at(2, 1) == m.values[0, 0]

@@ -11,8 +11,10 @@ it each workload of BENCHMARK.json runs once per side, back to back, the
 parent first when i is even and the change first when i is odd, so neither
 side always runs second.  T is BENCHMARK.json's ``run_seconds``, so a claim
 is measured at the run length the benchmark sets.  Each ``--trace W`` adds
-one ``--trace 1`` run of W per tree at seed N + pairs.  Then
-``perfbench/compare.py`` compares the two record files.
+one ``--trace 1`` run of W per tree at seed N + pairs; beside each of its
+``*_ms`` metrics the record holds ``*_ms/host_factor``, the time divided by
+that run's host factor, so the two trees' layers compare at one host speed.
+Then ``perfbench/compare.py`` compares the two record files.
 
 The output holds every record, the compare table and its exit code, and a
 claim block for ``--claim``: each side's quartiles, the change of median,
@@ -102,6 +104,18 @@ def block(parent: dict, change: dict, better: str, summary) -> dict:
     }
 
 
+def traced(record: dict) -> dict:
+    """A traced run without its meta and raw metrics, each ``*_ms`` metric
+    with its ``*_ms/host_factor`` twin (``perfbench/speed.py``: a factor
+    above 1 means the host ran slower than the reference)."""
+    metrics = {}
+    for name, value in record["metrics"].items():
+        metrics[name] = value
+        if name.endswith("_ms"):
+            metrics[f"{name}/host_factor"] = value / record["host_factor"]
+    return {**{k: v for k, v in record.items() if k not in ("meta", "raw_metrics")}, "metrics": metrics}
+
+
 def by_seed(records: list[dict], workload: str, metric: str) -> dict:
     return {r["meta"]["seed"]: r["metrics"][metric] for r in records if r["workload"] == workload}
 
@@ -171,7 +185,8 @@ def main(argv=None) -> int:
             "perfbench/compare.py parent.jsonl change.jsonl` (exit code in compare_exit). The claim block "
             "counts, per seed, the pairs in which the change reads better."
             + (f" `trace` holds one `--trace 1` run per tree of {', '.join(args.trace)}, seed "
-               f"{args.seed0 + args.pairs}." if args.trace else "")
+               f"{args.seed0 + args.pairs}; each `*_ms` metric there has a `*_ms/host_factor` twin, "
+               "divided by that run's host factor." if args.trace else "")
             + f" Written by `python3 tools/bench_pairs.py {' '.join(argv if argv is not None else sys.argv[1:])}`."
         ),
         "claim": claim,
@@ -183,8 +198,7 @@ def main(argv=None) -> int:
         "src_lines_parent_change": [runs[side][0]["meta"]["src_lines"] for side in trees],
         "compare_exit": cmp.returncode,
         "compare": cmp.stdout.splitlines(),
-        "trace": {side: {r["workload"]: {k: v for k, v in r.items() if k not in ("meta", "raw_metrics")}
-                         for r in traces[side]} for side in trees},
+        "trace": {side: {r["workload"]: traced(r) for r in traces[side]} for side in trees},
         **runs,
     }
     with open(args.out, "w") as fh:
