@@ -41,7 +41,7 @@ def test_a_revision_that_cannot_be_exported_exits_2(tmp_path):
 def test_traced_times_are_divided_by_their_run_host_factor():
     record = {"workload": "reduce_spline", "trace": 1, "host_factor": 0.5, "meta": {"seed": 1},
               "raw_metrics": {"x": 1}, "metrics": {"a.b_ms": 0.03, "a.calls": 4.0}}
-    out = bench_pairs.traced(record)
+    out = bench_pairs.host_scaled(record)
     assert out["metrics"] == {"a.b_ms": 0.03, "a.b_ms/host_factor": 0.06, "a.calls": 4.0}
     assert out["host_factor"] == 0.5 and out["workload"] == "reduce_spline"
     assert "meta" not in out and "raw_metrics" not in out

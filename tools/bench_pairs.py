@@ -104,7 +104,7 @@ def block(parent: dict, change: dict, better: str, summary) -> dict:
     }
 
 
-def traced(record: dict) -> dict:
+def host_scaled(record: dict) -> dict:
     """A traced run without its meta and raw metrics, each ``*_ms`` metric
     with its ``*_ms/host_factor`` twin (``perfbench/speed.py``: a factor
     above 1 means the host ran slower than the reference)."""
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         "src_lines_parent_change": [runs[side][0]["meta"]["src_lines"] for side in trees],
         "compare_exit": cmp.returncode,
         "compare": cmp.stdout.splitlines(),
-        "trace": {side: {r["workload"]: traced(r) for r in traces[side]} for side in trees},
+        "trace": {side: {r["workload"]: host_scaled(r) for r in traces[side]} for side in trees},
         **runs,
     }
     with open(args.out, "w") as fh:
