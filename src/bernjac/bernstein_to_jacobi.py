@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .bases import ConnectionMatrix, TransformParams
-from .specialfn import HahnParams, _float_binomials, _hahn_table, _poch_ratio, gen_binomial
+from .specialfn import HahnParams, _binomial_row, _float_binomials, _hahn_table, _poch_ratio
 
 
 def _z_outer(p: TransformParams) -> np.ndarray:
@@ -147,7 +147,11 @@ def d_theorem4(p: TransformParams) -> ConnectionMatrix:
 
 
 def d_oracle(p: TransformParams) -> ConnectionMatrix:
-    """Closed-form literature evaluation with gamma-based binomials (cubic cost)."""
+    """Closed-form literature evaluation with gamma-based binomials (cubic cost).
+
+    A gamma domain violation, reached only once a weight rounds onto -1,
+    raises ValueError naming the route and the weights.
+    """
     n, k, l = p.n, p.k, p.l
     if n == 0:
         # the space of constants, where B_0^0 = J_0 = 1; the general formula
@@ -156,6 +160,10 @@ def d_oracle(p: TransformParams) -> ConnectionMatrix:
     a, b, sig = p.alpha, p.beta, p.sigma
     m = n - k - l
     binom_n = _float_binomials(n)
+    # lower arguments and their lgamma(t + 1): t = r of b1 and b2, t = u + b + k of inv
+    lt_r = [math.lgamma(r + 1.0) for r in range(m + 1)]
+    t_u = [u + b + k for u in range(k, n - l + m + 1)]
+    lt_u = [math.lgamma(t + 1.0) for t in t_u]
     cols = []
     for i in range(k + l, n + 1):
         mi = i - l - k
@@ -168,9 +176,13 @@ def d_oracle(p: TransformParams) -> ConnectionMatrix:
         log_g0 = (math.lgamma(mi + 1.0) + core - math.log(n + i + a + b + 1.0)
                   - math.lgamma(i + l - k + a + 1.0) - math.lgamma(i - l + k + b + 1.0))
         g0 = math.exp(log_g0) if log_g0 < 709.0 else math.inf
-        b1 = [gen_binomial(i + a + l - k, r) for r in range(mi + 1)]
-        b2 = [gen_binomial(i + b - l + k, mi - r) for r in range(mi + 1)]
-        inv = [1.0 / gen_binomial(n + i + a + b, u + b + k) for u in range(k, n - l + mi + 1)]
+        width = m + mi + 1
+        try:
+            b1 = _binomial_row(i + a + l - k, range(mi + 1), lt_r)
+            b2 = _binomial_row(i + b - l + k, range(mi + 1), lt_r)[::-1]  # b2[r] takes t = mi - r
+            inv = [1.0 / v for v in _binomial_row(n + i + a + b, t_u[:width], lt_u)]
+        except ValueError:
+            raise ValueError(f"d_oracle: closed form undefined at alpha={a!r}, beta={b!r}") from None
         sign0 = -1.0 if mi & 1 else 1.0
         col = [0.0] * (m + 1)
         for s in range(m + 1):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .bases import ConnectionMatrix, TransformParams
-from .specialfn import HahnParams, _float_binomials, _hahn_table, gen_binomial
+from .specialfn import HahnParams, _binomial_row, _float_binomials, _hahn_table
 
 
 def c_direct(p: TransformParams) -> ConnectionMatrix:
@@ -120,18 +120,23 @@ def c_theorem2(p: TransformParams) -> ConnectionMatrix:
 def c_oracle(p: TransformParams) -> ConnectionMatrix:
     """Corrected closed-form evaluation with gamma-based binomials (cubic cost).
 
-    Gamma domain violations, impossible inside the valid parameter region,
-    propagate as ValueError.
+    A gamma domain violation, impossible inside the valid parameter region
+    but reached once a weight rounds onto -1, raises ValueError naming the
+    route and the weights.
     """
     n, k, l, a, b = p.n, p.k, p.l, p.alpha, p.beta
     m = n - k - l
     binom_n = _float_binomials(n)
     inv_binom = [1.0 / binom_n[k + s] for s in range(m + 1)]
+    lt = [math.lgamma(r + 1.0) for r in range(m + 1)]  # lgamma(t + 1) of the lower arguments t = r
     rows = []
     for i in range(k + l, n + 1):
         mi = i - l - k
-        b1 = [gen_binomial(i + a + l - k, r) for r in range(mi + 1)]
-        b2 = [gen_binomial(i + b - l + k, mi - r) for r in range(mi + 1)]
+        try:
+            b1 = _binomial_row(i + a + l - k, range(mi + 1), lt)
+            b2 = _binomial_row(i + b - l + k, range(mi + 1), lt)[::-1]  # b2[r] takes t = mi - r
+        except ValueError:
+            raise ValueError(f"c_oracle: closed form undefined at alpha={a!r}, beta={b!r}") from None
         t = _float_binomials(n - i)
         row = [0.0] * (m + 1)
         for s in range(m + 1):

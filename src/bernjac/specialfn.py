@@ -1,12 +1,18 @@
 """Scalar special-function kernel.
 
-Generalized binomial coefficients, the Beta function, ratios of rising
-factorials, and Hahn / dual Hahn polynomial evaluation by their terminating
-series, plus a whole-table form of the Hahn series for the cubic-cost
-reference routes.  The three-term recurrences live in the matrix builders
-of the transform modules, which never touch the gamma function; everything
-gamma-flavoured here exists for the cubic-cost reference formulas and the
-exact Gram-matrix oracle.
+Generalized binomial coefficients by rows, the Beta function, ratios of
+rising factorials, and Hahn / dual Hahn polynomial evaluation by their
+terminating series, plus a whole-table form of the Hahn series for the
+cubic-cost reference routes.  The three-term recurrences live in the matrix
+builders of the transform modules, which never touch the gamma function;
+everything gamma-flavoured here exists for the cubic-cost reference
+formulas and the exact Gram-matrix oracle.
+
+The reference routes hoist what a whole matrix shares out of their inner
+loops without changing a bit of the result: ``_binomial_row`` takes the
+``lgamma(t + 1)`` of its lower arguments from a table the caller builds
+once per matrix, and ``_hahn_table`` builds the j-dependent factors of
+every series term as two tables before it sums.
 """
 
 from __future__ import annotations
@@ -21,17 +27,22 @@ import numpy as np
 _MAX = sys.float_info.max
 
 
-def gen_binomial(y: float, t: float) -> float:
-    """Binomial coefficient generalized to real arguments via the gamma function.
+def _binomial_row(y: float, ts, lts) -> list[float]:
+    """Generalized binomials C(y, t) = Gamma(y+1) / (Gamma(t+1) Gamma(y-t+1))
+    for every t of the ascending sequence ``ts``, given
+    ``lts[j] = lgamma(ts[j] + 1.0)``; a longer ``lts`` is read only as far
+    as ``ts`` goes, so one table serves every row of a matrix.
 
     Requires finite y > -1, t > -1 and y-t+1 > 0, which is the domain the
-    closed-form connection-coefficient formulas actually exercise.  Results
-    beyond double range saturate to inf instead of raising.
+    closed-form connection-coefficient formulas actually exercise; y - t + 1
+    falls with t, so the ends of ``ts`` decide it.  Results beyond double
+    range saturate to inf instead of raising.
     """
-    if not (-1.0 < y <= _MAX and -1.0 < t <= _MAX and y - t + 1.0 > 0.0):
-        raise ValueError(f"gen_binomial arguments out of domain: y={y}, t={t}")
-    v = math.lgamma(y + 1.0) - math.lgamma(t + 1.0) - math.lgamma(y - t + 1.0)
-    return math.exp(v) if v < 709.0 else math.inf
+    if not (-1.0 < y <= _MAX and -1.0 < ts[0] and ts[-1] <= _MAX and y - ts[-1] + 1.0 > 0.0):
+        raise ValueError(f"binomial arguments out of domain: y={y}, t from {ts[0]} to {ts[-1]}")
+    lgamma, exp, inf = math.lgamma, math.exp, math.inf
+    ly = lgamma(y + 1.0)
+    return [exp(v) if (v := ly - lt - lgamma(y - t + 1.0)) < 709.0 else inf for t, lt in zip(ts, lts)]
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -84,20 +95,24 @@ def _hahn_table(p: HahnParams) -> np.ndarray:
     """Q_r(x; alpha, beta, N) for all r, x = 0..N as ``table[r, x]``.
 
     One vector step per series term j; only the rows r > j still take
-    terms, so rows r <= j are left as they are.  Every entry repeats
-    ``hahn_eval``'s arithmetic in the same order and equals it bit for bit.
+    terms, so rows r <= j are left as they are.  The factors of term j
+    that depend on r or on x alone are built for every j at once, before
+    the sum.  Every entry repeats ``hahn_eval``'s arithmetic in the same
+    order and equals it bit for bit.
     """
     a, b, N = p.alpha, p.beta, p.N
+    js = np.arange(N)[:, None]
     r = np.arange(N + 1)
-    x = np.arange(N + 1.0)
     total = np.zeros((N + 1, N + 1))
     term = np.ones((N + 1, N + 1))
     with np.errstate(all="ignore"):  # the scalar series overflows to inf and nan silently too
+        rfac = (js - r) * (r + a + b + 1.0 + js)  # [j, r]
+        xfac = js - np.arange(N + 1.0)  # [j, x]
         for j in range(N):
-            rr = r[j + 1:]
+            step = np.multiply.outer(rfac[j, j + 1:], xfac[j])
+            step /= (j + 1.0) * (a + 1.0 + j) * (j - N)
             total[j + 1:] += term[j + 1:]
-            term[j + 1:] *= ((j - rr) * (rr + a + b + 1.0 + j))[:, None] * (j - x) / (
-                (j + 1.0) * (a + 1.0 + j) * (j - N))
+            term[j + 1:] *= step
         return total + term
 
 

@@ -14,6 +14,9 @@ RTOL = 1e-9
 # weight-exponent sample used throughout the suite
 ALPHA_BETA = (-0.9, -0.5, 0.0, 0.5, 3.7)
 
+# weights that put entries past double range, with the acceptance sample's corners
+EXTREME_WEIGHTS = ((0.0, 0.0), (0.5, -0.5), (-0.9, 3.7), (1e10, 0.5), (0.5, 1e200), (1e200, 0.0))
+
 # exact range bound: an int beyond double range fails it instead of overflowing
 _MAX = sys.float_info.max
 
@@ -71,6 +74,19 @@ def hahn_recurrence_step(n: int, x: float, p: HahnParams, q_n: float, q_prev: fl
     if n == 0:
         return (A + C - x) * q_n / A
     return ((A + C - x) * q_n - C * q_prev) / A
+
+
+def gen_binomial(y: float, t: float) -> float:
+    """Binomial coefficient generalized to real arguments via the gamma function,
+    one entry at a time: the per-entry reference for ``specialfn._binomial_row``.
+
+    Requires finite y > -1, t > -1 and y-t+1 > 0.  Results beyond double
+    range saturate to inf instead of raising.
+    """
+    if not (-1.0 < y <= _MAX and -1.0 < t <= _MAX and y - t + 1.0 > 0.0):
+        raise ValueError(f"gen_binomial arguments out of domain: y={y}, t={t}")
+    v = math.lgamma(y + 1.0) - math.lgamma(t + 1.0) - math.lgamma(y - t + 1.0)
+    return math.exp(v) if v < 709.0 else math.inf
 
 
 def pochhammer(h: float, i: int) -> float:

@@ -46,3 +46,13 @@ def test_traced_times_are_divided_by_their_run_host_factor():
     assert out["host_factor"] == 0.5 and out["workload"] == "reduce_spline"
     assert "meta" not in out and "raw_metrics" not in out
     assert record["metrics"] == {"a.b_ms": 0.03, "a.calls": 4.0}
+
+
+def test_traced_runs_alternate_which_tree_runs_first(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run", lambda tree, workload, seed, seconds, record, trace=0:
+                        calls.append((tree, workload, seed, record, trace)))
+    trees = {"parent": "P", "change": "C"}
+    bench_pairs.trace_runs(trees, ["w1", "w2"], 20, 15, {"parent": "p.jsonl", "change": "c.jsonl"})
+    order = [("P", 20), ("C", 20), ("C", 21), ("P", 21)]
+    assert calls == [(tree, w, seed, f"{tree.lower()}.jsonl", 1) for w in ("w1", "w2") for tree, seed in order]

@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, assert_mixed_close, entry, eval_mod_jacobi
+from conftest import ALPHA_BETA, EXTREME_WEIGHTS, assert_mixed_close, entry, eval_mod_jacobi, gen_binomial
 
 from bernjac.bases import TransformParams, bernstein_gram
 from bernjac.bernstein_to_jacobi import _z_outer, d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
 from bernjac.jacobi_to_bernstein import c_direct, c_theorem2
 from bernjac.specialfn import HahnParams, _float_binomials, _poch_ratio, hahn_eval
-
-# weights that put entries past double range, with the acceptance sample's corners
-EXTREME_WEIGHTS = ((0.0, 0.0), (0.5, -0.5), (-0.9, 3.7), (1e10, 0.5), (0.5, 1e200), (1e200, 0.0))
 
 ALL_ROUTES = (d_direct, d_theorem3, d_theorem4, d_oracle)
 
@@ -161,6 +158,53 @@ def test_whole_matrix_routes_match_scalar_formulas_bitwise(n):
             for got, want in ((d_direct(p).values, ref), (u_factors(p).values, scalar_u_factors(p))):
                 assert got.flags["C_CONTIGUOUS"]
                 assert np.array_equal(got, want, equal_nan=True), p
+
+
+def scalar_d_oracle(p):
+    """The closed form of d_oracle with one ``gen_binomial`` call per binomial."""
+    n, k, l, a, b, sig = p.n, p.k, p.l, p.alpha, p.beta, p.sigma
+    m = n - k - l
+    if n == 0:
+        return np.ones((1, 1))
+    binom_n = _float_binomials(n)
+    vals = np.empty((m + 1, m + 1))
+    for i in range(k + l, n + 1):
+        mi = i - l - k
+        if i == k + l:
+            core = math.lgamma(i + k + l + sig + 1.0)
+        else:
+            core = math.log(2.0 * i + a + b + 1.0) + math.lgamma(i + k + l + sig)
+        log_g0 = (math.lgamma(mi + 1.0) + core - math.log(n + i + a + b + 1.0)
+                  - math.lgamma(i + l - k + a + 1.0) - math.lgamma(i - l + k + b + 1.0))
+        g0 = math.exp(log_g0) if log_g0 < 709.0 else math.inf
+        for s in range(m + 1):
+            u = k + s
+            acc = 0.0
+            sign = -1.0 if mi & 1 else 1.0
+            for r in range(mi + 1):
+                acc += sign * gen_binomial(i + a + l - k, r) * gen_binomial(i + b - l + k, mi - r) * (
+                    1.0 / gen_binomial(n + i + a + b, u + r + b + k))
+                sign = -sign
+            vals[s, mi] = binom_n[k + s] * g0 * acc
+    return vals
+
+
+@pytest.mark.parametrize("n", (0, 1, 9, 20))
+def test_oracle_matches_per_entry_binomials_bitwise(n):
+    # d_oracle takes its binomials from lgamma tables; each entry keeps the
+    # per-entry formula's arithmetic
+    for k, l in ((0, 0), (1, 1), (0, 2), (2, 0)):
+        if k + l > n:
+            continue
+        for a, b in EXTREME_WEIGHTS:
+            p = TransformParams(n, k, l, a, b)
+            assert np.array_equal(d_oracle(p).values, scalar_d_oracle(p), equal_nan=True), p
+
+
+def test_oracle_refusal_names_route_and_weights():
+    # alpha = -1 + 2^-52: n + i + alpha rounds so that a binomial leaves its domain
+    with pytest.raises(ValueError, match=r"^d_oracle: closed form undefined at alpha=-0\.9999999999999998, beta=0\.0$"):
+        d_oracle(TransformParams(4, 0, 0, -1.0 + 2.0 ** -52, 0.0))
 
 
 @pytest.mark.parametrize("a", ALPHA_BETA)

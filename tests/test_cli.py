@@ -31,6 +31,8 @@ OVERFLOW_ERROR = "error: arithmetic overflows a double: "
 ZERO_DIVISION_ERROR = "error: arithmetic divides by zero: "
 # alpha = -1 + 2^-52: a + n absorbs the 2^-52, so a factor of d's z rounds to 0
 NEAR_MINUS_ONE = "-0.9999999999999998"
+# and c_oracle's closed form takes C(2, 3) at n >= 3
+CLOSED_FORM_UNDEFINED = f"error: c_oracle: closed form undefined at alpha={NEAR_MINUS_ONE}, beta=0.0\n"
 
 
 def read_csv(path):
@@ -302,6 +304,12 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith(OVERFLOW_ERROR)
         assert not out.exists()
 
+    def test_closed_form_undefined_near_minus_one_exit_2_no_file(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["bench", "--n-list", "2,3", f"--alpha={NEAR_MINUS_ONE}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == CLOSED_FORM_UNDEFINED
+        assert not out.exists()
+
     def test_zero_reps_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["bench", "--n-list", "3", "--reps", "0", "--out", str(out)]) == 2
@@ -362,6 +370,11 @@ class TestCheckCommand:
 
     def test_invalid_params(self, capsys):
         assert main(["check", "-n", "1", "-k", "2", "-l", "2"]) == 2
+
+    def test_closed_form_undefined_near_minus_one(self, capsys):
+        assert main(["check", "-n", "4", f"--alpha={NEAR_MINUS_ONE}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == CLOSED_FORM_UNDEFINED and captured.out == ""
 
     def test_corrupted_builder_fails(self, monkeypatch, capsys):
         real = j2b.c_theorem2

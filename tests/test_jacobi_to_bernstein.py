@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, assert_mixed_close, de_casteljau, entry, eval_mod_jacobi
+from conftest import ALPHA_BETA, EXTREME_WEIGHTS, assert_mixed_close, de_casteljau, entry, eval_mod_jacobi, gen_binomial
 
 from bernjac.bases import TransformParams
 from bernjac.jacobi_to_bernstein import c_direct, c_oracle, c_theorem1, c_theorem2
@@ -138,7 +138,7 @@ def test_direct_matches_scalar_series_bitwise(n):
     for k, l in ((0, 0), (1, 1), (0, 2), (2, 0)):
         if k + l > n:
             continue
-        for a, b in ((0.0, 0.0), (0.5, -0.5), (-0.9, 3.7), (1e10, 0.5), (0.5, 1e200), (1e200, 0.0)):
+        for a, b in EXTREME_WEIGHTS:
             p = TransformParams(n, k, l, a, b)
             m = n - k - l
             hp = HahnParams(a + 2.0 * l, b + 2.0 * k, m)
@@ -154,6 +154,45 @@ def test_direct_matches_scalar_series_bitwise(n):
             values = c_direct(p).values
             assert values.flags["C_CONTIGUOUS"]
             assert np.array_equal(values, ref, equal_nan=True), p
+
+
+def scalar_c_oracle(p):
+    """The closed form of c_oracle with one ``gen_binomial`` call per binomial."""
+    n, k, l, a, b = p.n, p.k, p.l, p.alpha, p.beta
+    m = n - k - l
+    binom_n = _float_binomials(n)
+    vals = np.empty((m + 1, m + 1))
+    for i in range(k + l, n + 1):
+        mi = i - l - k
+        t = _float_binomials(n - i)
+        for s in range(m + 1):
+            h = k + s
+            r_lo = max(0, h + i - n - k)
+            sign = -1.0 if (mi - r_lo) & 1 else 1.0
+            acc = 0.0
+            for r in range(r_lo, min(h - k, mi) + 1):
+                acc += sign * gen_binomial(i + a + l - k, r) * gen_binomial(i + b - l + k, mi - r) * t[s - r]
+                sign = -sign
+            vals[mi, s] = 1.0 / binom_n[h] * acc
+    return vals
+
+
+@pytest.mark.parametrize("n", (0, 1, 9, 20))
+def test_oracle_matches_per_entry_binomials_bitwise(n):
+    # c_oracle takes its binomials from lgamma tables; each entry keeps the
+    # per-entry formula's arithmetic
+    for k, l in ((0, 0), (1, 1), (0, 2), (2, 0)):
+        if k + l > n:
+            continue
+        for a, b in EXTREME_WEIGHTS:
+            p = TransformParams(n, k, l, a, b)
+            assert np.array_equal(c_oracle(p).values, scalar_c_oracle(p), equal_nan=True), p
+
+
+def test_oracle_refusal_names_route_and_weights():
+    # alpha = -1 + 2^-52: 3 + alpha rounds to 2.0, where C(2, 3) is undefined
+    with pytest.raises(ValueError, match=r"^c_oracle: closed form undefined at alpha=-0\.9999999999999998, beta=0\.0$"):
+        c_oracle(TransformParams(4, 0, 0, -1.0 + 2.0 ** -52, 0.0))
 
 
 def test_direct_and_oracle_report_no_steps():

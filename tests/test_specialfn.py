@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, _hahn_rec_coeffs, hahn_recurrence_step, hahn_series_scale, pochhammer
+from conftest import ALPHA_BETA, _hahn_rec_coeffs, gen_binomial, hahn_recurrence_step, hahn_series_scale, pochhammer
 
 from bernjac.specialfn import (
     HahnParams,
+    _binomial_row,
     _hahn_table,
     _poch_ratio,
     beta_fn,
     dual_hahn_eval,
-    gen_binomial,
     hahn_eval,
 )
 
@@ -61,6 +61,35 @@ class TestGenBinomial:
             gen_binomial(y, t)
 
 
+def lgamma_table(ts):
+    return [math.lgamma(t + 1.0) for t in ts]
+
+
+class TestBinomialRow:
+    @pytest.mark.parametrize("y", [0.0, 2.5, 7, 19.3, -0.9, 1e10, 1e200, 400.5])
+    def test_matches_per_entry_reference_bitwise(self, y):
+        # integer and real lower arguments, one table longer than the row, and
+        # values past double range, which saturate to inf in both forms
+        for ts in (range(1), range(6), [0.5, 1.25, 3.0], [y - 0.5, y, y + 0.5]):
+            ts = [t for t in ts if y - t + 1.0 > 0.0 and t > -1.0]
+            if ts:
+                got = _binomial_row(y, ts, lgamma_table(ts) + [math.nan])
+                assert got == [gen_binomial(y, t) for t in ts], (y, ts)
+
+    @pytest.mark.parametrize("y,t", [(-2.5, 1.0), (3.0, -1.5), (2.0, 5.0)])
+    def test_domain(self, y, t):
+        with pytest.raises(ValueError):
+            _binomial_row(y, [t], lgamma_table([t]))
+
+    def test_domain_is_decided_at_the_ends(self):
+        # y - t + 1 reaches 0 at the last t only; t > -1 fails at the first only
+        assert _binomial_row(2.0, range(3), lgamma_table(range(3))) == pytest.approx([1.0, 2.0, 1.0], rel=1e-14)
+        with pytest.raises(ValueError, match="out of domain"):
+            _binomial_row(2.0, range(4), lgamma_table(range(4)))
+        with pytest.raises(ValueError, match="out of domain"):
+            _binomial_row(2.0, [-1.0, 0.0], [math.inf, 0.0])
+
+
 class TestBetaFn:
     def test_ones(self):
         assert math.isclose(beta_fn(1.0, 1.0), 1.0, rel_tol=1e-14)
@@ -101,12 +130,17 @@ REJECTED = [
     (gen_binomial, (NAN, 1.0)),
     (gen_binomial, (INF, 1.0)),
     (gen_binomial, (2.0, NAN)),
+    (_binomial_row, (NAN, [1.0], [0.0])),
+    (_binomial_row, (INF, [1.0], [0.0])),
+    (_binomial_row, (2.0, [NAN], [NAN])),
+    (_binomial_row, (2.0, [0.0, INF], [0.0, INF])),
     (beta_fn, (INF, 1.0)),
     (beta_fn, (1.0, NAN)),
     (pochhammer, (1.0, True)),
     (pochhammer, (NAN, 2)),
     (pochhammer, (HUGE, 2)),
     (gen_binomial, (HUGE, 1.0)),
+    (_binomial_row, (HUGE, [1.0], [0.0])),
     (beta_fn, (HUGE, 1.0)),
     (HahnParams, (HUGE, 0.0, 3)),
 ]

@@ -11,10 +11,12 @@ it each workload of BENCHMARK.json runs once per side, back to back, the
 parent first when i is even and the change first when i is odd, so neither
 side always runs second.  T is BENCHMARK.json's ``run_seconds``, so a claim
 is measured at the run length the benchmark sets.  Each ``--trace W`` adds
-one ``--trace 1`` run of W per tree at seed N + pairs; beside each of its
-``*_ms`` metrics the record holds ``*_ms/host_factor``, the time divided by
-that run's host factor, so the two trees' layers compare at one host speed.
-Then ``perfbench/compare.py`` compares the two record files.
+two ``--trace 1`` runs of W per tree, in the order parent, change, change,
+parent at seeds N + pairs and N + pairs + 1, so each tree runs first once;
+beside each of their ``*_ms`` metrics the record holds ``*_ms/host_factor``,
+the time divided by that run's host factor, so the two trees' layers compare
+at one host speed.  Then ``perfbench/compare.py`` compares the two record
+files.
 
 The output holds every record, the compare table and its exit code, and a
 claim block for ``--claim``: each side's quartiles, the change of median,
@@ -82,6 +84,16 @@ def run(tree: str, workload: str, seed: int, seconds: float, record: str, trace:
         fail(f"{' '.join(cmd[1:])} exited {proc.returncode} in {tree}")
 
 
+def trace_runs(trees: dict, workloads: list[str], seed: int, seconds: float, records: dict) -> None:
+    """Two ``--trace 1`` runs of each workload per tree, parent, change, change,
+    parent, at seeds ``seed`` and ``seed + 1``: each tree runs first once and
+    second once, so an order effect shows between a tree's two runs."""
+    for workload in workloads:
+        for side, s in (("parent", seed), ("change", seed), ("change", seed + 1), ("parent", seed + 1)):
+            print(f"trace {workload} {side} seed {s}", file=sys.stderr, flush=True)
+            run(trees[side], workload, s, seconds, records[side], trace=1)
+
+
 def load(path: str) -> list[dict]:
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
@@ -143,10 +155,7 @@ def main(argv=None) -> int:
                     print(f"pair {i + 1}/{args.pairs} {workload} {side}", file=sys.stderr, flush=True)
                     run(trees[side], workload, args.seed0 + i, seconds, records[side])
         traced = {side: os.path.join(tmp, f"{side}-trace.jsonl") for side in trees}
-        for workload in args.trace:
-            for side in trees:
-                print(f"trace {workload} {side}", file=sys.stderr, flush=True)
-                run(trees[side], workload, args.seed0 + args.pairs, seconds, traced[side], trace=1)
+        trace_runs(trees, args.trace, args.seed0 + args.pairs, seconds, traced)
         cmp = subprocess.run([sys.executable, "perfbench/compare.py", records["parent"], records["change"]],
                              cwd=trees["change"], capture_output=True, text=True)
         if cmp.returncode not in (0, 1):
@@ -184,9 +193,10 @@ def main(argv=None) -> int:
             f"--seed S --seconds {seconds:g} --record FILE`; `compare` is the output of `python3 "
             "perfbench/compare.py parent.jsonl change.jsonl` (exit code in compare_exit). The claim block "
             "counts, per seed, the pairs in which the change reads better."
-            + (f" `trace` holds one `--trace 1` run per tree of {', '.join(args.trace)}, seed "
-               f"{args.seed0 + args.pairs}; each `*_ms` metric there has a `*_ms/host_factor` twin, "
-               "divided by that run's host factor." if args.trace else "")
+            + (f" `trace` holds two `--trace 1` runs per tree of {', '.join(args.trace)}, seeds "
+               f"{args.seed0 + args.pairs} and {args.seed0 + args.pairs + 1}, run parent, change, change, "
+               "parent; each `*_ms` metric there has a `*_ms/host_factor` twin, divided by that run's host "
+               "factor." if args.trace else "")
             + f" Written by `python3 tools/bench_pairs.py {' '.join(argv if argv is not None else sys.argv[1:])}`."
         ),
         "claim": claim,
@@ -198,7 +208,8 @@ def main(argv=None) -> int:
         "src_lines_parent_change": [runs[side][0]["meta"]["src_lines"] for side in trees],
         "compare_exit": cmp.returncode,
         "compare": cmp.stdout.splitlines(),
-        "trace": {side: {r["workload"]: host_scaled(r) for r in traces[side]} for side in trees},
+        "trace": {side: {w: [host_scaled(r) for r in traces[side] if r["workload"] == w] for w in args.trace}
+                  for side in trees},
         **runs,
     }
     with open(args.out, "w") as fh:
