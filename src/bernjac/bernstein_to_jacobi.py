@@ -176,11 +176,10 @@ def d_oracle(p: TransformParams) -> ConnectionMatrix:
         log_g0 = (math.lgamma(mi + 1.0) + core - math.log(n + i + a + b + 1.0)
                   - math.lgamma(i + l - k + a + 1.0) - math.lgamma(i - l + k + b + 1.0))
         g0 = math.exp(log_g0) if log_g0 < 709.0 else math.inf
-        width = m + mi + 1
         try:
             b1 = _binomial_row(i + a + l - k, range(mi + 1), lt_r)
             b2 = _binomial_row(i + b - l + k, range(mi + 1), lt_r)[::-1]  # b2[r] takes t = mi - r
-            inv = [1.0 / v for v in _binomial_row(n + i + a + b, t_u[:width], lt_u)]
+            inv = [1.0 / v for v in _binomial_row(n + i + a + b, t_u[:m + mi + 1], lt_u)]
         except ValueError:
             raise ValueError(f"d_oracle: closed form undefined at alpha={a!r}, beta={b!r}") from None
         sign0 = -1.0 if mi & 1 else 1.0

@@ -202,7 +202,7 @@ def test_oracle_matches_per_entry_binomials_bitwise(n):
 
 
 def test_oracle_refusal_names_route_and_weights():
-    # alpha = -1 + 2^-52: n + i + alpha rounds so that a binomial leaves its domain
+    # alpha = -1 + 2^-52: 3 + alpha rounds to 2.0, where C(2, 3) is undefined
     with pytest.raises(ValueError, match=r"^d_oracle: closed form undefined at alpha=-0\.9999999999999998, beta=0\.0$"):
         d_oracle(TransformParams(4, 0, 0, -1.0 + 2.0 ** -52, 0.0))
 
