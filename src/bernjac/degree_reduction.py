@@ -39,6 +39,8 @@ class ReductionProblem:
     beta: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.source, BezierCurve):
+            raise TypeError(f"source must be a BezierCurve, got {type(self.source).__name__}")
         n, m = self.source.degree, self.target_degree
         if not _is_count(m) or m < 0:
             raise ValueError(f"target degree must be a nonnegative integer, got {m!r}")
@@ -59,8 +61,10 @@ class ReductionResult:
     """Reduced curve, its weighted-L2 error, and the discarded orthogonal
     components (zero for indices <= target degree).  The error is their
     Parseval sum against Gram-form basis norms: accurate inside the tested
-    envelope, wrong from n ~ 60.  Its arrays belong to the caller: none is
-    shared with ``reduce``'s memo or with another result."""
+    envelope, wrong from n ~ 60.  Those norms go negative from n ~ 25; the
+    sum keeps their signs, and a negative sum reads as error 0.  Its arrays
+    belong to the caller: none is shared with ``reduce``'s memo or with
+    another result."""
 
     reduced: BezierCurve
     l2_error: float
@@ -82,6 +86,8 @@ def _elevation(m: int, n: int) -> np.ndarray:
 
 def elevate(curve: BezierCurve, to_degree: int) -> BezierCurve:
     """Degree-elevate a curve: identical polynomial, more control points."""
+    if not isinstance(curve, BezierCurve):
+        raise TypeError(f"curve must be a BezierCurve, got {type(curve).__name__}")
     m, n = curve.degree, to_degree
     if not _is_count(n) or n < 0:
         raise ValueError(f"to_degree must be a nonnegative integer, got {n!r}")
@@ -115,14 +121,18 @@ def _stub_map(n: int, m: int, k: int, l: int):
 
 @functools.lru_cache(maxsize=8)
 def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
-    """The linear maps ``reduce`` applies for the source space ``pn`` and a
-    target degree m < n: R takes the source control points to the reduced
-    ones, T takes them to the discarded orthogonal components (indices
-    m+1..n), and w holds those components' Parseval weights diag(C G C^T),
-    C = c_build(pn), G = gram(pn).  None of them depends on the curve.  The
+    """The linear map ``reduce`` applies for the source space ``pn`` and a
+    target degree m < n, stacked into one (2n-m+1) x (n+1) matrix
+    M = [R; T; W], and the count npos of non-negative Parseval weights.
+    R takes the source control points to the reduced ones, T takes them to
+    the discarded orthogonal components (indices m+1..n), and W is T with
+    row j scaled by sqrt|w_j|, where w = diag(C G C^T), C = c_build(pn) and
+    G = gram(pn) are those components' Parseval weights; W's rows of
+    non-negative weight come first, npos of them, each part in index order.
+    The Parseval sum is the squared norm of the first npos rows of W @ P
+    minus that of the others.  Nothing here depends on the curve.  The
     builders are part of the key, so a substituted one is never served
-    another's maps; the arrays are shared by every caller, so they are
-    read-only.
+    another's map; M is shared by every caller, so it is read-only.
 
     They are built by pushing the identity through the pipeline.  The stub
     map S and the product ES come from ``_stub_map``, which depends on
@@ -146,12 +156,15 @@ def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
     R[:k, :k], R[m - l + 1:, n - l + 1:] = S[:k, :k], S[k:, k:]
     if kept > 0:
         R[k:m - l + 1] += c_build(TransformParams(m, k, l, pn.alpha, pn.beta)).values.T @ Q[:kept]
-    T = Q[kept:].copy()
+    T = Q[kept:]
     C = c_build(pn).values[kept:]
     w = np.einsum("ij,jk,ik->i", C, gram(pn), C)
-    for a in (R, T, w):
-        a.flags.writeable = False
-    return R, T, w
+    # a NaN weight counts as non-negative, so that it reaches the error
+    neg = w < 0
+    order = np.argsort(neg, kind="stable")
+    M = np.vstack((R, T, np.sqrt(np.abs(w[order]))[:, None] * T[order]))
+    M.flags.writeable = False
+    return M, int(np.count_nonzero(~neg))
 
 
 def reduce(prob: ReductionProblem) -> ReductionResult:
@@ -168,17 +181,20 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
 
     For fixed (n, m, k, l, alpha, beta) that pipeline is a linear map of the
     control points P.  It is composed once into R (P to the reduced control
-    points) and T (P to the discarded components) and memoized, with the
-    Parseval weights w, on those values and the builders in use.  A warm
-    call is one lookup, the two matmuls R @ P and T @ P and the Parseval
-    sum; the segments of a spline build D(n), C(m), C(n) and the Gram
-    matrix once.  The stub map, which does not depend on the weights, is
-    memoized apart per (n, m, k, l), so a miss on new weights for a known
-    shape builds only D, C and the Gram matrix.  The composed maps round
-    differently from the step-by-step pipeline: the reduced control points
-    agree with it to 1e-13 of max(1, |P|) at n <= 20, the error and the
-    discarded components to 1e-13 relative.  A warm call returns the same
-    bytes as a cold one.
+    points), T (P to the discarded components) and W (T's rows scaled by
+    the square roots of the Parseval weights' magnitudes, sorted by sign),
+    stacked into one matrix M and memoized on those values and the builders
+    in use.  A warm call is one lookup, one product M @ P and two
+    ``math.hypot`` over the weighted rows, which scale internally, so
+    control points near either end of the double range give a finite,
+    correctly scaled error; the segments of a spline build D(n), C(m), C(n)
+    and the Gram matrix once.  The stub map, which does not depend on the
+    weights, is memoized apart per (n, m, k, l), so a miss on new weights
+    for a known shape builds only D, C and the Gram matrix.  The composed
+    map rounds differently from the step-by-step pipeline: the reduced
+    control points agree with it to 1e-13 of max(1, |P|) at n <= 20, the
+    error and the discarded components to 1e-13 relative.  A warm call
+    returns the same bytes as a cold one.
     """
     p = prob.source
     n, m, k, l = p.degree, prob.target_degree, prob.k, prob.l
@@ -187,18 +203,17 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
         return ReductionResult(BezierCurve(p.control_points.copy()), 0.0,
                                ModJacobiCoeffs(pn, np.zeros((pn.dim, p.dimension))))
 
-    R, T, w = _reduction_matrices(pn, m, d_theorem4, c_theorem2, bernstein_gram)
-    P = p.control_points
-    kept = m - k - l + 1
+    M, npos = _reduction_matrices(pn, m, d_theorem4, c_theorem2, bernstein_gram)
+    Y = M @ p.control_points
     jac = np.zeros((pn.dim, p.dimension))
-    tail = np.matmul(T, P, out=jac[kept:])
-    # scale the tail by a power of two, exactly, so that its squares
-    # neither overflow nor underflow
-    e = math.frexp(float(np.abs(tail).max()))[1]
-    tail = np.ldexp(tail, -e)
-    err_sq = float(w @ (tail * tail).sum(axis=1))
+    jac[m - k - l + 1:] = Y[m + 1:n + 1]
+    # hypot scales internally, so the error neither overflows nor underflows;
+    # hp^2 - hn^2 is the signed Parseval sum
+    hp = math.hypot(*Y[n + 1:n + 1 + npos].ravel().tolist())
+    hn = math.hypot(*Y[n + 1 + npos:].ravel().tolist())
+    r = hn / hp if hp else 0.0
     return ReductionResult(
-        reduced=BezierCurve(R @ P),
-        l2_error=math.ldexp(math.sqrt(max(err_sq, 0.0)), e),
+        reduced=BezierCurve(Y[:m + 1]),
+        l2_error=hp * math.sqrt(max((1.0 - r) * (1.0 + r), 0.0)),
         discarded=ModJacobiCoeffs(pn, jac),
     )

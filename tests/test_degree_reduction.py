@@ -151,6 +151,14 @@ class TestReduceProblemValidation:
         with pytest.raises(ValueError, match="finite"):
             ReductionProblem(BezierCurve(np.array([[bad], [0.0], [1.0]])), 1, 0, 0)
 
+    @pytest.mark.parametrize("source", [np.zeros((5, 2)), [[0.0, 0.0]] * 5, None])
+    def test_source_must_be_a_curve(self, source):
+        name = type(source).__name__
+        with pytest.raises(TypeError, match=f"BezierCurve, got {name}"):
+            ReductionProblem(source, 1, 0, 0)
+        with pytest.raises(TypeError, match=f"BezierCurve, got {name}"):
+            elevate(source, 6)
+
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             ReductionProblem(BezierCurve(np.zeros((3, 1))), 1, 0, 0, alpha=-1.0)
@@ -331,10 +339,11 @@ def result_bytes(res):
 
 
 class TestReduceScaling:
-    @pytest.mark.parametrize("s", [-1000, -600, 600, 1000])
+    @pytest.mark.parametrize("s", [-1000, -600, -7, 7, 600, 1000])
     def test_power_of_two_equivariant(self, rng, s):
         # the squares of the discarded components over- or underflow unless
-        # they are scaled first; every other step scales exactly
+        # they are scaled first; every other step scales exactly.  An odd s
+        # catches a square root taken of the scale
         pts = rng.normal(size=(8, 2))
         base = reduce(ReductionProblem(BezierCurve(pts), 3, 1, 1, 0.5, -0.5))
         res = reduce(ReductionProblem(BezierCurve(np.ldexp(pts, s)), 3, 1, 1, 0.5, -0.5))
@@ -418,13 +427,28 @@ class TestReductionMatrixMemo:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_cached_arrays_are_read_only(self, m):
-        R, T, w = dred._reduction_matrices(TransformParams(6, 1, 1), m, dred.d_theorem4, dred.c_theorem2,
+        M, npos = dred._reduction_matrices(TransformParams(6, 1, 1), m, dred.d_theorem4, dred.c_theorem2,
                                            dred.bernstein_gram)
-        # R: control points -> reduced ones; T and w: the discarded indices m+1..n
-        assert (R.shape, T.shape, w.shape) == ((m + 1, 7), (6 - m, 7), (6 - m,))
-        for a in (R, T, w):
-            with pytest.raises(ValueError):
-                a[(0,) * a.ndim] = 1.0
+        # M = [R; T; W]: R takes the control points to the reduced ones, T to
+        # the discarded indices m+1..n, W is T's rows weighted; all weights are
+        # positive at n = 6
+        assert (M.shape, npos) == ((m + 1 + 2 * (6 - m), 7), 6 - m)
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+    def test_negative_parseval_weights_keep_their_sign(self):
+        # the Gram-form weights go negative from n ~ 25: at n = 31, m = 26 two
+        # of the five discarded indices carry one, and they lower the error
+        # by about 4%
+        prob = ReductionProblem(BezierCurve(np.random.default_rng(0).normal(size=(32, 2))), 26, 0, 0)
+        clear_memos()
+        _, npos = dred._reduction_matrices(prob._space, 26, dred.d_theorem4, dred.c_theorem2,
+                                           dred.bernstein_gram)
+        assert npos < 31 - 26
+        err = stepwise_reduce(prob)[1]
+        clear_memos()
+        for _ in ("cold", "warm"):
+            assert reduce(prob).l2_error == pytest.approx(err, rel=1e-13, abs=0)
 
     def test_warm_call_builds_and_solves_nothing(self, rng, monkeypatch):
         prob = ReductionProblem(BezierCurve(rng.normal(size=(15, 2))), 7, 2, 1, 0.5, -0.5)
