@@ -152,17 +152,18 @@ def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
     Q[:, k:n - l + 1] = DT
     outer = -(DT @ ES)
     Q[:, :k], Q[:, n - l + 1:] = outer[:, :k], outer[:, k:]
-    R = np.zeros((m + 1, n + 1))
+    M = np.zeros((2 * n - m + 1, n + 1))
+    R, T = M[:m + 1], M[m + 1:n + 1]
     R[:k, :k], R[m - l + 1:, n - l + 1:] = S[:k, :k], S[k:, k:]
     if kept > 0:
         R[k:m - l + 1] += c_build(TransformParams(m, k, l, pn.alpha, pn.beta)).values.T @ Q[:kept]
-    T = Q[kept:]
+    T[:] = Q[kept:]
     C = c_build(pn).values[kept:]
     w = np.einsum("ij,jk,ik->i", C, gram(pn), C)
     # a NaN weight counts as non-negative, so that it reaches the error
     neg = w < 0
     order = np.argsort(neg, kind="stable")
-    M = np.vstack((R, T, np.sqrt(np.abs(w[order]))[:, None] * T[order]))
+    np.multiply(np.sqrt(np.abs(w[order]))[:, None], T[order], out=M[n + 1:])
     M.flags.writeable = False
     return M, int(np.count_nonzero(~neg))
 
