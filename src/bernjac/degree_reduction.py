@@ -134,7 +134,7 @@ def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
     builders are part of the key, so a substituted one is never served
     another's map; M is shared by every caller, so it is read-only.
 
-    They are built by pushing the identity through the pipeline.  The stub
+    R and T are built by pushing the identity through the pipeline.  The stub
     map S and the product ES come from ``_stub_map``, which depends on
     (n, m, k, l) alone and keeps them per shape, so a miss on new weights
     builds no elevation matrix and makes no solve; a shape whose entry
