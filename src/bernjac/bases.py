@@ -12,12 +12,12 @@ indices i = k+l..n.  Containers holding arrays compare and hash by identity.
 from __future__ import annotations
 
 import math
-import sys
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import beta_fn
+from .specialfn import _MAX, beta_fn
 
 
 def _is_count(v) -> bool:
@@ -43,10 +43,15 @@ class TransformParams:
         if self.k + self.l > self.n:
             raise ValueError(f"constraint orders must satisfy k + l <= n, got k={self.k}, l={self.l}, n={self.n}")
         a, b = self.alpha, self.beta
-        if isinstance(a, bool) or isinstance(b, bool):
-            raise ValueError(f"weight exponents must be numbers, not bool, got alpha={a!r}, beta={b!r}")
-        # exact comparisons: an int beyond double range fails them instead of overflowing
-        if not (-1.0 < a <= sys.float_info.max and -1.0 < b <= sys.float_info.max):
+        if type(a) is not float or type(b) is not float:
+            # kept as doubles, so a NumPy float32 weight narrows no build
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (a, b)):
+                raise ValueError(f"weight exponents must be real numbers, not bool, got alpha={a!r}, beta={b!r}")
+            # an int or fraction beyond double range stays exact and fails the range check
+            a, b = (v if isinstance(v, numbers.Rational) and abs(v) > _MAX else float(v) for v in (a, b))
+            object.__setattr__(self, "alpha", a)
+            object.__setattr__(self, "beta", b)
+        if not (-1.0 < a <= _MAX and -1.0 < b <= _MAX):
             raise ValueError(f"weight exponents must be finite with alpha > -1 and beta > -1, got alpha={a}, beta={b}")
 
     @property

@@ -50,7 +50,7 @@ def _builder(direction: str, method: str):
 def _atomic_write(path: str, write) -> None:
     """Call ``write(fh)`` on a temp file beside ``path``, then rename it
     over ``path``; on any failure the temp file is removed."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bernjac-")
     except OSError as exc:  # name the path the user gave, not the temp file
@@ -318,6 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the prefix of exit 2's message for an arithmetic error
+_ARITHMETIC = {OverflowError: "arithmetic overflows a double: ", ZeroDivisionError: "arithmetic divides by zero: "}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -326,14 +330,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except OverflowError as exc:
-        print(f"error: arithmetic overflows a double: {exc}", file=sys.stderr)
-        return 2
-    except ZeroDivisionError as exc:
-        print(f"error: arithmetic divides by zero: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, RecursionError, *_ARITHMETIC) as exc:
+        print(f"error: {_ARITHMETIC.get(type(exc), '')}{exc}", file=sys.stderr)
         return 2
 
 

@@ -74,12 +74,9 @@ class ReductionResult:
 def _elevation(m: int, n: int) -> np.ndarray:
     """(n+1) x (m+1) matrix taking degree-m control points to degree n;
     entry (j, i) is C(m,i) C(n-m,j-i) / C(n,j)."""
-    # log C(n, n/2) > 710 > log(DBL_MAX) refuses a huge n before its rows are
-    # built; the exact test behind it keeps the boundary (1020 passes, 1021 not)
-    if (math.lgamma(n + 1) - 2 * math.lgamma(n / 2 + 1) > 710
-            or not np.all(np.isfinite(bn := np.array(_float_binomials(n))))):
+    if n > 1020:  # the last degree whose binomials _float_binomials(n) are all finite
         raise ValueError(f"cannot elevate to degree {n}: its binomial coefficients overflow a double")
-    bm, bd = np.array(_float_binomials(m)), np.array(_float_binomials(n - m))
+    bm, bd, bn = (np.array(_float_binomials(d)) for d in (m, n - m, n))
     d = np.arange(n + 1)[:, None] - np.arange(m + 1)
     return np.where((d >= 0) & (d <= n - m), bm * np.take(bd, d, mode="clip") / bn[:, None], 0.0)
 
@@ -134,11 +131,8 @@ def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
     builders are part of the key, so a substituted one is never served
     another's map; M is shared by every caller, so it is read-only.
 
-    R and T are built by pushing the identity through the pipeline.  The stub
-    map S and the product ES come from ``_stub_map``, which depends on
-    (n, m, k, l) alone and keeps them per shape, so a miss on new weights
-    builds no elevation matrix and makes no solve; a shape whose entry
-    exceeds _STUB_MEMO_DOUBLES builds them unmemoized.
+    R and T are built by pushing the identity through the pipeline, with
+    the stub map S and the product ES from ``_stub_map``.
     Q = D(n)^T (I - E S), restricted to rows h = k..n-l, expands the
     residual in the orthogonal basis; R is S plus C(m)^T Q[:kept] in the
     free rows, T = Q[kept:]."""

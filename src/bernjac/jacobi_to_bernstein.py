@@ -66,7 +66,6 @@ def c_theorem1(p: TransformParams) -> ConnectionMatrix:
     inv_binom_nl = 1.0 / float(math.comb(n, l))
     second = m * (l + 1.0) / (n - l) if m >= 1 else 0.0
     rows = []
-    steps = 0
     pre = 1.0
     for r in range(m + 1):
         if r:
@@ -80,9 +79,8 @@ def c_theorem1(p: TransformParams) -> ConnectionMatrix:
         for s in range(m - 2, -1, -1):
             f = ratio[s] * (1.0 - hcoef[s] - wfac * invden[s])
             row[s] = f * row[s + 1] + gcoef[s] * row[s + 2]
-        steps += max(0, m - 1)
         rows.append(row)
-    return ConnectionMatrix(p, np.array(rows), "i", recurrence_steps=steps)
+    return ConnectionMatrix(p, np.array(rows), "i", recurrence_steps=(m + 1) * max(0, m - 1))
 
 
 def c_theorem2(p: TransformParams) -> ConnectionMatrix:
@@ -91,7 +89,6 @@ def c_theorem2(p: TransformParams) -> ConnectionMatrix:
     n, k, l, a, b = p.n, p.k, p.l, p.alpha, p.beta
     m = n - k - l
     sig = p.sigma
-    steps = 0
     # seed row i = k+l: C(m, h-k)/C(n, h), advanced by the adjacent-h ratio
     row0 = [0.0] * (m + 1)
     row0[0] = 1.0 / float(math.comb(n, k))
@@ -113,8 +110,7 @@ def c_theorem2(p: TransformParams) -> ConnectionMatrix:
             (i - k - l) * (i + k + l + a + b) * (i - n - 1.0))
         prev2, prev1 = prev1, [(kbase - (s - m) * kslope) * prev1[s] + L * prev2[s] for s in range(m + 1)]
         values[r] = prev1
-        steps += m + 1
-    return ConnectionMatrix(p, values, "i", recurrence_steps=steps)
+    return ConnectionMatrix(p, values, "i", recurrence_steps=(m + 1) * max(0, m - 1))
 
 
 def c_oracle(p: TransformParams) -> ConnectionMatrix:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,10 +39,23 @@ class TestTransformParams:
         (3, True, 0, 0.0, 0.0),
         (3, 0, 1.0, 0.0, 0.0),
         pytest.param(3, 0, 0, 10**400, 0.0, id="3-0-0-10**400-0.0"),
+        pytest.param(3, 0, 0, np.True_, 0.0, id="3-0-0-np.True_-0.0"),
+        pytest.param(3, 0, 0, 0.0, np.False_, id="3-0-0-0.0-np.False_"),
+        pytest.param(3, 0, 0, "0.5", 0.0, id="3-0-0-str-0.0"),
+        pytest.param(3, 0, 0, 0.0, None, id="3-0-0-0.0-None"),
     ])
     def test_invalid(self, n, k, l, a, b):
         with pytest.raises(ValueError):
             TransformParams(n, k, l, a, b)
+
+    @pytest.mark.parametrize("w", [np.float32(0.5), np.float16(0.5), np.float64(0.5), 1, np.int64(1),
+                                   Fraction(1, 2)], ids=repr)
+    def test_weights_are_kept_as_python_floats(self, w):
+        p = TransformParams(16, 1, 1, w, w)
+        assert type(p.alpha) is float and type(p.beta) is float and p.alpha == p.beta == float(w)
+        # a NumPy float32 weight would otherwise narrow the build to single precision
+        q = TransformParams(16, 1, 1, float(w), float(w))
+        assert p == q and c_theorem2(p).values.tobytes() == c_theorem2(q).values.tobytes()
 
 
 class TestEvalBernstein:

@@ -219,6 +219,16 @@ class TestReduceCommand:
         rc = main(["reduce", "--in", str(bad), "-m", "1", "--out", str(tmp_path / "r.json")])
         assert rc == 2
 
+    def test_deeply_nested_json_exit_2_no_file(self, tmp_path, capsys):
+        # json's decoder raises RecursionError past the interpreter's depth limit
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        out = tmp_path / "never.json"
+        assert main(["reduce", "--in", str(deep), "-m", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_finite_result_exit_2_no_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(dred, "d_theorem4", nan_builder(dred.d_theorem4))
         src = self.write_curve(tmp_path, [0.0, 1.0, 0.0, 2.0, 1.0])

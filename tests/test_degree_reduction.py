@@ -425,6 +425,16 @@ class TestReductionMatrixMemo:
                 outs.add(result_bytes(reduce(ReductionProblem(BezierCurve(pts), 4, 1, 2, alpha, 0.5))))
         assert len(outs) == 1
 
+    @pytest.mark.parametrize("order", [(np.float32(0.5), 0.5), (0.5, np.float32(0.5))], ids=["f32-first", "f64-first"])
+    def test_float32_weight_gives_the_double_result(self, rng, order):
+        # np.float32(0.5) == 0.5 and the two hash alike, so they share one memo entry
+        pts = rng.normal(size=(17, 2))
+        clear_memos()
+        ref = result_bytes(reduce(ReductionProblem(BezierCurve(pts), 9, 1, 1, 0.5, -0.5)))
+        clear_memos()
+        for alpha in order + order:  # the first call is cold, the others warm
+            assert result_bytes(reduce(ReductionProblem(BezierCurve(pts), 9, 1, 1, alpha, -0.5))) == ref
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_cached_arrays_are_read_only(self, m):
         M, npos = dred._reduction_matrices(TransformParams(6, 1, 1), m, dred.d_theorem4, dred.c_theorem2,

@@ -132,6 +132,14 @@ def test_recurrence_step_count_scales_quadratically():
     assert 3.2 <= t1[80] / t1[40] <= 4.8
 
 
+def test_recurrence_step_counts():
+    # (m + 1) lanes of m - 1 three-term steps each, past the two seeds
+    for m in (0, 1, 2, 9):
+        p = TransformParams(m + 2, 1, 1)
+        for route in (c_theorem1, c_theorem2):
+            assert route(p).recurrence_steps == (m + 1) * max(0, m - 1), (route.__name__, m)
+
+
 @pytest.mark.parametrize("n", (0, 1, 9, 20))
 def test_direct_matches_scalar_series_bitwise(n):
     # the per-entry Hahn-series formula c_direct evaluates for the whole matrix
