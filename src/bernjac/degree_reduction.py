@@ -74,7 +74,7 @@ class ReductionResult:
 def _elevation(m: int, n: int) -> np.ndarray:
     """(n+1) x (m+1) matrix taking degree-m control points to degree n;
     entry (j, i) is C(m,i) C(n-m,j-i) / C(n,j)."""
-    if n > 1020:  # the last degree whose binomials _float_binomials(n) are all finite
+    if n > 1020:  # _float_binomials(n) overflows from n = 1021 on
         raise ValueError(f"cannot elevate to degree {n}: its binomial coefficients overflow a double")
     bm, bd, bn = (np.array(_float_binomials(d)) for d in (m, n - m, n))
     d = np.arange(n + 1)[:, None] - np.arange(m + 1)
