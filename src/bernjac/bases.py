@@ -12,12 +12,11 @@ indices i = k+l..n.  Containers holding arrays compare and hash by identity.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import _MAX, beta_fn
+from .specialfn import _MAX, _real, beta_fn
 
 
 def _is_count(v) -> bool:
@@ -44,11 +43,7 @@ class TransformParams:
             raise ValueError(f"constraint orders must satisfy k + l <= n, got k={self.k}, l={self.l}, n={self.n}")
         a, b = self.alpha, self.beta
         if type(a) is not float or type(b) is not float:
-            # kept as doubles, so a NumPy float32 weight narrows no build
-            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (a, b)):
-                raise ValueError(f"weight exponents must be real numbers, not bool, got alpha={a!r}, beta={b!r}")
-            # an int or fraction beyond double range stays exact and fails the range check
-            a, b = (v if isinstance(v, numbers.Rational) and abs(v) > _MAX else float(v) for v in (a, b))
+            a, b = _real(a), _real(b)
             object.__setattr__(self, "alpha", a)
             object.__setattr__(self, "beta", b)
         if not (-1.0 < a <= _MAX and -1.0 < b <= _MAX):

@@ -44,14 +44,11 @@ def _z_outer(p: TransformParams) -> np.ndarray:
     )
     zi = [z]
     for i in range(k + l + 1, n + 1):
-        # At i = k+l+1 the bracketed factors (i+k+l+alpha+beta) and
-        # (2i+alpha+beta-1) coincide and are cancelled symbolically; they
+        # At i = k+l+1 the factors (i+k+l+alpha+beta) and (2i+alpha+beta-1)
+        # coincide and are cancelled symbolically (set to 1.0, exact); they
         # are 0/0 at k = l = 0, alpha + beta = -1.
-        if i == k + l + 1:
-            z *= (2.0 * i + sig) * (i - n - 1.0) / ((a + l + i - k) * (i + n + sig))
-        else:
-            z *= (2.0 * i + sig) * (i + k + l + a + b) * (i - n - 1.0) / (
-                (a + l + i - k) * (i + n + sig) * (2.0 * i + a + b - 1.0))
+        fa, fb = (1.0, 1.0) if i == k + l + 1 else (i + k + l + a + b, 2.0 * i + a + b - 1.0)
+        z *= (2.0 * i + sig) * fa * (i - n - 1.0) / ((a + l + i - k) * (i + n + sig) * fb)
         zi.append(z)
     return np.outer(zh, zi)
 
@@ -121,12 +118,10 @@ def d_theorem4(p: TransformParams) -> ConnectionMatrix:
     n, k, l = p.n, p.k, p.l
     a, b, sig = p.alpha, p.beta, p.sigma
     m = n - k - l
-    # h-dependent coefficients shared across lanes, for h = k+2 .. n-l
-    vcoef, invden = [], []
-    for h in range(k + 2, n - l + 1):
-        den = (h + k + b) * (h + l - n - 1.0)
-        vcoef.append((h - k - 1.0) * (l + n + a + 2.0 - h) / den)
-        invden.append(1.0 / den)
+    hs = range(k + 2, n - l + 1)  # the h of the coefficients shared across lanes
+    dens = [(h + k + b) * (h + l - n - 1.0) for h in hs]
+    vcoef = [(h - k - 1.0) * (l + n + a + 2.0 - h) / den for h, den in zip(hs, dens)]
+    invden = [1.0 / den for den in dens]
     lanes = np.empty((m + 1, m + 1))  # row j holds the w lane of i = k+l+j
     for j, i in enumerate(range(k + l, n + 1)):
         wfac = (i - k - l) * (i + k + l + sig)
@@ -215,11 +210,9 @@ def u_factors(p: TransformParams) -> ConnectionMatrix:
         )
     with np.errstate(all="ignore"):
         for r, i in enumerate(range(k + l + 1, n + 1), start=1):
-            if i == k + l + 1:
-                f = -(i + l + a - k) * (n + i + sig) * (i + k + b - l) / (
-                    (2.0 * i + sig) * (i - k - l) * (i - n - 1.0))
-            else:
-                f = -(i + l + a - k) * (2.0 * i + a + b - 1.0) * (n + i + sig) * (i + k + b - l) / (
-                    (2.0 * i + sig) * (i - k - l) * (i - n - 1.0) * (i + k + l + a + b))
+            # the same cancelled pair as in _z_outer's step
+            fa, fb = (1.0, 1.0) if i == k + l + 1 else (i + k + l + a + b, 2.0 * i + a + b - 1.0)
+            f = -(i + l + a - k) * fb * (n + i + sig) * (i + k + b - l) / (
+                (2.0 * i + sig) * (i - k - l) * (i - n - 1.0) * fa)
             vals[r] = vals[r - 1] * f
     return ConnectionMatrix(p, vals, "i")

@@ -22,7 +22,7 @@ from time import perf_counter
 import numpy as np
 
 from . import bernstein_to_jacobi, degree_reduction, jacobi_to_bernstein
-from .bases import ConnectionMatrix, TransformParams, bernstein_gram, curve_from_json, curve_to_json
+from .bases import ConnectionMatrix, TransformParams, _is_count, bernstein_gram, curve_from_json, curve_to_json
 
 _ROUTES = {
     "c": (jacobi_to_bernstein, dict(direct="c_direct", thm1="c_theorem1", thm2="c_theorem2", oracle="c_oracle")),
@@ -145,8 +145,8 @@ def run_benchmark(n_values, k: int = 1, l: int = 1, alpha: float = 0.0, beta: fl
     """
     if not n_values or len(set(n_values)) != len(n_values) or min(n_values) < 1:
         raise ValueError(f"benchmark requires a nonempty list of distinct degrees >= 1, got {list(n_values)}")
-    if reps < 1:
-        raise ValueError("benchmark repetitions must be >= 1")
+    if not _is_count(reps) or reps < 1:
+        raise ValueError(f"benchmark repetitions must be >= 1, got {reps!r}")
     seconds = {}
     for method in BENCH_METHODS:
         build = _builder(*_BENCH_TABLE[method])

@@ -49,20 +49,13 @@ def c_theorem1(p: TransformParams) -> ConnectionMatrix:
     n, k, l, a, b = p.n, p.k, p.l, p.alpha, p.beta
     m = n - k - l
     sig = p.sigma
-    # h-dependent pieces shared across rows; index s = h - k for h <= n-l-2
-    ratio = [0.0] * max(0, m - 1)
-    hcoef = [0.0] * max(0, m - 1)
-    gcoef = [0.0] * max(0, m - 1)
-    invden = [0.0] * max(0, m - 1)
-    for s in range(m - 1):
-        h = k + s
-        den = (n + l + a - h) * (k - h - 1.0)
-        hval = (n - l - h - 1.0) * (h + k + b + 2.0) / den
-        hcoef[s] = hval
-        invden[s] = 1.0 / den
-        ratio[s] = (n - h) * (h + 1.0 - k) / ((n - l - h) * (h + 1.0))
-        gcoef[s] = (n - h - 1.0) * (n - h) * (h + 1.0 - k) * (h + 2.0 - k) / (
-            (n - l - h - 1.0) * (n - l - h) * (h + 1.0) * (h + 2.0)) * hval
+    hs = range(k, n - l - 1)  # the h of the pieces shared across rows, indexed by s = h - k
+    dens = [(n + l + a - h) * (k - h - 1.0) for h in hs]
+    hcoef = [(n - l - h - 1.0) * (h + k + b + 2.0) / den for h, den in zip(hs, dens)]
+    invden = [1.0 / den for den in dens]
+    ratio = [(n - h) * (h + 1.0 - k) / ((n - l - h) * (h + 1.0)) for h in hs]
+    gcoef = [(n - h - 1.0) * (n - h) * (h + 1.0 - k) * (h + 2.0 - k) / (
+        (n - l - h - 1.0) * (n - l - h) * (h + 1.0) * (h + 2.0)) * hval for h, hval in zip(hs, hcoef)]
     inv_binom_nl = 1.0 / float(math.comb(n, l))
     second = m * (l + 1.0) / (n - l) if m >= 1 else 0.0
     rows = []

@@ -18,6 +18,7 @@ every series term as two tables before it sums.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -25,6 +26,15 @@ import numpy as np
 
 # exact range bound: an int beyond double range fails it instead of overflowing
 _MAX = sys.float_info.max
+
+
+def _real(v):
+    """``v`` as a Python float, so a NumPy float32 argument narrows no
+    arithmetic; an int or fraction beyond double range stays exact, so the
+    caller's range check refuses it.  bool and non-reals raise ValueError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"expected a real number (not bool), got {v!r}")
+    return v if isinstance(v, numbers.Rational) and abs(v) > _MAX else float(v)
 
 
 def _binomial_row(y: float, ts, lts) -> list[float]:
@@ -47,6 +57,8 @@ def _binomial_row(y: float, ts, lts) -> list[float]:
 
 def beta_fn(a: float, b: float) -> float:
     """Euler Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), for finite a, b > 0."""
+    if type(a) is not float or type(b) is not float:
+        a, b = _real(a), _real(b)
     if not (0.0 < a <= _MAX and 0.0 < b <= _MAX):
         raise ValueError(f"beta_fn requires finite positive arguments, got ({a}, {b})")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
@@ -61,7 +73,10 @@ class HahnParams:
     N: int
 
     def __post_init__(self):
-        if not (-1.0 < self.alpha <= _MAX and -1.0 < self.beta <= _MAX):
+        a, b = _real(self.alpha), _real(self.beta)
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
+        if not (-1.0 < a <= _MAX and -1.0 < b <= _MAX):
             raise ValueError("Hahn parameters require finite alpha > -1 and beta > -1")
         if type(self.N) is not int or self.N < 0:
             raise ValueError("Hahn parameter N must be a nonnegative integer")

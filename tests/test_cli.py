@@ -326,6 +326,12 @@ class TestBenchCommand:
         assert "benchmark repetitions must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reps", [1.5, True], ids=repr)
+    def test_non_count_reps_rejected(self, reps):
+        # 1.5 reached range() as a TypeError, and True ran one repetition
+        with pytest.raises(ValueError, match="benchmark repetitions must be >= 1"):
+            run_benchmark([5], reps=reps)
+
     def test_run_benchmark_slopes_need_five_degrees(self):
         _, slopes = run_benchmark([5, 6, 7, 8], reps=1)
         assert slopes == {}

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +144,10 @@ REJECTED = [
     (_binomial_row, (HUGE, [1.0], [0.0])),
     (beta_fn, (HUGE, 1.0)),
     (HahnParams, (HUGE, 0.0, 3)),
+    (HahnParams, (True, 0.0, 3)),
+    (HahnParams, (0.0, "0.5", 3)),
+    (beta_fn, (1.0, True)),
+    (beta_fn, (None, 1.0)),
 ]
 
 
@@ -151,6 +156,18 @@ REJECTED = [
 def test_non_finite_and_bool_inputs_rejected(fn, args):
     with pytest.raises(ValueError):
         fn(*args)
+
+
+@pytest.mark.parametrize("w", [np.float32(0.1), np.float16(0.1), 1, np.int64(3), Fraction(1, 3)], ids=repr)
+def test_non_float_arguments_give_the_double_result(w):
+    # taken as the double float(w), with no warning (the suite makes warnings errors);
+    # a float32 weight ran the Hahn series in single precision
+    d = float(w)
+    p = HahnParams(w, w, 12)
+    assert type(p.alpha) is float and type(p.beta) is float and p == HahnParams(d, d, 12)
+    assert hahn_eval(7, 5.0, p).hex() == hahn_eval(7, 5.0, HahnParams(d, d, 12)).hex()
+    assert beta_fn(w, 2.5).hex() == beta_fn(d, 2.5).hex()
+    assert beta_fn(2.5, w).hex() == beta_fn(2.5, d).hex()
 
 
 class TestPochRatio:
