@@ -328,7 +328,7 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("reps", [1.5, True], ids=repr)
     def test_non_count_reps_rejected(self, reps):
-        # 1.5 reached range() as a TypeError, and True ran one repetition
+        # a repetition count is an int: neither a fraction nor a bool is one
         with pytest.raises(ValueError, match="benchmark repetitions must be >= 1"):
             run_benchmark([5], reps=reps)
 

@@ -160,8 +160,8 @@ def test_non_finite_and_bool_inputs_rejected(fn, args):
 
 @pytest.mark.parametrize("w", [np.float32(0.1), np.float16(0.1), 1, np.int64(3), Fraction(1, 3)], ids=repr)
 def test_non_float_arguments_give_the_double_result(w):
-    # taken as the double float(w), with no warning (the suite makes warnings errors);
-    # a float32 weight ran the Hahn series in single precision
+    # taken as the double float(w), so the Hahn series runs in double, with no
+    # warning (the suite makes warnings errors)
     d = float(w)
     p = HahnParams(w, w, 12)
     assert type(p.alpha) is float and type(p.beta) is float and p == HahnParams(d, d, 12)
