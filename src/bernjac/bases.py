@@ -143,15 +143,15 @@ def bernstein_gram(p: TransformParams) -> np.ndarray:
     Symmetric positive definite; this is the verification oracle for every
     orthogonality and least-squares statement in the package.
     """
-    hs = list(p.h_indices())
-    binom = [float(math.comb(p.n, h)) for h in hs]
-    G = np.empty((p.dim, p.dim))
+    n, a, b, dim = p.n, p.alpha, p.beta, p.dim
+    binom = [float(math.comb(n, h)) for h in p.h_indices()]
+    hs = [float(h) for h in p.h_indices()]  # exact, and no entry converts an int
+    G = np.empty((dim, dim))
     for r, h in enumerate(hs):
-        for s in range(r, p.dim):
+        bh, nh, br = b + h, 2.0 * n - h, binom[r]  # b + h + h2 sums left to right, so it is bh + h2
+        for s in range(r, dim):
             h2 = hs[s]
-            v = binom[r] * binom[s] * beta_fn(p.beta + h + h2 + 1.0, 2.0 * p.n - h - h2 + p.alpha + 1.0)
-            G[r, s] = v
-            G[s, r] = v
+            G[r, s] = G[s, r] = br * binom[s] * beta_fn(bh + h2 + 1.0, nh - h2 + a + 1.0)
     return G
 
 

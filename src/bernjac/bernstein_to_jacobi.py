@@ -121,17 +121,18 @@ def d_theorem4(p: TransformParams) -> ConnectionMatrix:
     hs = range(k + 2, n - l + 1)  # the h of the coefficients shared across lanes
     dens = [(h + k + b) * (h + l - n - 1.0) for h in hs]
     vcoef = [(h - k - 1.0) * (l + n + a + 2.0 - h) / den for h, den in zip(hs, dens)]
-    invden = [1.0 / den for den in dens]
+    steps = [(v, 1.0 - v, 1.0 / den) for v, den in zip(vcoef, dens)]
+    den1 = (b + 2.0 * k + 1.0) * (k + l - n)  # w1's denominator, the same in every lane
     lanes = np.empty((m + 1, m + 1))  # row j holds the w lane of i = k+l+j
     for j, i in enumerate(range(k + l, n + 1)):
         wfac = (i - k - l) * (i + k + l + sig)
         w2 = 1.0
         col = [w2]
         if m >= 1:
-            w1 = 1.0 + wfac / ((b + 2.0 * k + 1.0) * (k + l - n))
+            w1 = 1.0 + wfac / den1
             col.append(w1)
-            for v, inv in zip(vcoef, invden):
-                w0 = (1.0 - v + wfac * inv) * w1 + v * w2
+            for v, omv, inv in steps:
+                w0 = (omv + wfac * inv) * w1 + v * w2
                 col.append(w0)
                 w2, w1 = w1, w0
         lanes[j] = col

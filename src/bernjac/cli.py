@@ -49,14 +49,18 @@ def _builder(direction: str, method: str):
 
 def _atomic_write(path: str, write) -> None:
     """Call ``write(fh)`` on a temp file beside ``path``, then rename it
-    over ``path``; on any failure the temp file is removed."""
+    over ``path``; on any failure the temp file is removed.  The file gets
+    the mode ``open(path, "w")`` would leave."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.umask(umask := os.umask(0))  # reading the umask means setting it
+    mode = os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bernjac-")
     except OSError as exc:  # name the path the user gave, not the temp file
         raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, mode)  # mkstemp's is 0o600
             write(fh)
         try:
             os.replace(tmp, path)

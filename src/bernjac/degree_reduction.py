@@ -129,7 +129,8 @@ def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
     The Parseval sum is the squared norm of the first npos rows of W @ P
     minus that of the others.  Nothing here depends on the curve.  The
     builders are part of the key, so a substituted one is never served
-    another's map; M is shared by every caller, so it is read-only.
+    another's map; M is shared by every caller, so it is read-only.  A map
+    with a non-finite entry raises ValueError instead and is not cached.
 
     R and T are built by pushing the identity through the pipeline, with
     the stub map S and the product ES from ``_stub_map``.
@@ -141,23 +142,26 @@ def _reduction_matrices(pn: TransformParams, m: int, d_build, c_build, gram):
     stub = _stub_map if (k + l) * (n + 1) <= _STUB_MEMO_DOUBLES else _stub_map.__wrapped__
     S, ES = stub(n, m, k, l)
     DT = d_build(pn).values.T
-    # I - E S is the identity on the middle columns h = k..n-l, where S is zero
-    Q = np.empty((n - k - l + 1, n + 1))
-    Q[:, k:n - l + 1] = DT
-    outer = -(DT @ ES)
-    Q[:, :k], Q[:, n - l + 1:] = outer[:, :k], outer[:, k:]
-    M = np.zeros((2 * n - m + 1, n + 1))
-    R, T = M[:m + 1], M[m + 1:n + 1]
-    R[:k, :k], R[m - l + 1:, n - l + 1:] = S[:k, :k], S[k:, k:]
-    if kept > 0:
-        R[k:m - l + 1] += c_build(TransformParams(m, k, l, pn.alpha, pn.beta)).values.T @ Q[:kept]
-    T[:] = Q[kept:]
-    C = c_build(pn).values[kept:]
-    w = np.einsum("ij,jk,ik->i", C, gram(pn), C)
-    # a NaN weight counts as non-negative, so that it reaches the error
-    neg = w < 0
-    order = np.argsort(neg, kind="stable")
-    np.multiply(np.sqrt(np.abs(w[order]))[:, None], T[order], out=M[n + 1:])
+    with np.errstate(all="ignore"):  # a non-finite map is refused below, without warnings
+        # I - E S is the identity on the middle columns h = k..n-l, where S is zero
+        Q = np.empty((n - k - l + 1, n + 1))
+        Q[:, k:n - l + 1] = DT
+        outer = -(DT @ ES)
+        Q[:, :k], Q[:, n - l + 1:] = outer[:, :k], outer[:, k:]
+        M = np.zeros((2 * n - m + 1, n + 1))
+        R, T = M[:m + 1], M[m + 1:n + 1]
+        R[:k, :k], R[m - l + 1:, n - l + 1:] = S[:k, :k], S[k:, k:]
+        if kept > 0:
+            R[k:m - l + 1] += c_build(TransformParams(m, k, l, pn.alpha, pn.beta)).values.T @ Q[:kept]
+        T[:] = Q[kept:]
+        C = c_build(pn).values[kept:]
+        w = np.einsum("ij,jk,ik->i", C, gram(pn), C)
+        # a NaN weight counts as non-negative, so that it reaches the error
+        neg = w < 0
+        order = np.argsort(neg, kind="stable")
+        np.multiply(np.sqrt(np.abs(w[order]))[:, None], T[order], out=M[n + 1:])
+    if not np.isfinite(M).all():
+        raise ValueError(f"reduction map has non-finite entries at alpha={pn.alpha!r}, beta={pn.beta!r}")
     M.flags.writeable = False
     return M, int(np.count_nonzero(~neg))
 
@@ -172,7 +176,8 @@ def reduce(prob: ReductionProblem) -> ReductionResult:
     indices <= m, map the kept part back to the degree-m Bernstein basis,
     and add it into the stub's free slots.  The discarded components give
     the error by Parseval.  At m = n the source is returned unchanged
-    with error 0 and nothing is built.
+    with error 0 and nothing is built.  Weights whose map has a non-finite
+    entry raise ValueError.
 
     For fixed (n, m, k, l, alpha, beta) that pipeline is a linear map of the
     control points P.  It is composed once into R (P to the reduced control

@@ -94,14 +94,15 @@ def c_theorem2(p: TransformParams) -> ConnectionMatrix:
         cfac = (sig + 2.0 * k + 2.0 * l + 1.0) / (k + l - n)
         prev2, prev1 = prev1, [row0[s] * (a + 2.0 * l + 1.0 - cfac * (l + k + s - n)) for s in range(m + 1)]
         values[1] = prev1
+    offs = [float(s - m) for s in range(m + 1)]  # s - m, converted once for every row
     for r, i in enumerate(range(k + l + 2, n + 1), start=2):
-        M = (i - k - l - 1.0) * (n + i + a + b) * (i + k + b - l - 1.0) * (2.0 * i + a + b) / (
-            (2.0 * i + a + b - 2.0) * (i + k + l + a + b) * (i + l + a - k) * (i - n - 1.0))
-        L = (a + l + i - k - 1.0) * (a + l + i - k) / ((i - k - l - 1.0) * (i - k - l)) * M
-        kbase = (a + l + i - k) * (1.0 - M) / (i - k - l)
-        kslope = (2.0 * i + a + b - 1.0) * (2.0 * i + a + b) / (
-            (i - k - l) * (i + k + l + a + b) * (i - n - 1.0))
-        prev2, prev1 = prev1, [(kbase - (s - m) * kslope) * prev1[s] + L * prev2[s] for s in range(m + 1)]
+        # each recurring factor once, and r = i - k - l; a + l + i - k and i + l + a - k round apart
+        t, u, v, ali = 2.0 * i + a + b, i + k + l + a + b, i - n - 1.0, a + l + i - k
+        M = (r - 1.0) * (n + i + a + b) * (i + k + b - l - 1.0) * t / ((t - 2.0) * u * (i + l + a - k) * v)
+        L = (ali - 1.0) * ali / ((r - 1.0) * r) * M
+        kbase = ali * (1.0 - M) / r
+        kslope = (t - 1.0) * t / (r * u * v)
+        prev2, prev1 = prev1, [(kbase - d * kslope) * x1 + L * x2 for d, x1, x2 in zip(offs, prev1, prev2)]
         values[r] = prev1
     return ConnectionMatrix(p, values, "i", recurrence_steps=(m + 1) * max(0, m - 1))
 

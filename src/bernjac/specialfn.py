@@ -21,6 +21,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from math import exp, lgamma
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def beta_fn(a: float, b: float) -> float:
         a, b = _real(a), _real(b)
     if not (0.0 < a <= _MAX and 0.0 < b <= _MAX):
         raise ValueError(f"beta_fn requires finite positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return exp(lgamma(a) + lgamma(b) - lgamma(a + b))
 
 
 @dataclass(frozen=True)

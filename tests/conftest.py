@@ -17,8 +17,39 @@ ALPHA_BETA = (-0.9, -0.5, 0.0, 0.5, 3.7)
 # weights that put entries past double range, with the acceptance sample's corners
 EXTREME_WEIGHTS = ((0.0, 0.0), (0.5, -0.5), (-0.9, 3.7), (1e10, 0.5), (0.5, 1e200), (1e200, 0.0))
 
+# weights of the byte-identity grids: the extreme ones, the Chebyshev pair,
+# -1 + 2^-52 on either side, where alpha + n absorbs the 2^-52, and a pair
+# whose sums with small integers round, so that a regrouped sum shows
+NEAR_MINUS_ONE = -1.0 + 2.0 ** -52
+IDENTITY_WEIGHTS = EXTREME_WEIGHTS + (
+    (-0.5, -0.5), (NEAR_MINUS_ONE, 0.0), (0.0, NEAR_MINUS_ONE), (1.0 / 3.0, 3.7e-5), (3.7e-5, 1.0 / 3.0))
+IDENTITY_DEGREES = (0, 1, 2, 3, 5, 9, 14, 20, 33, 71)
+
 # exact range bound: an int beyond double range fails it instead of overflowing
 _MAX = sys.float_info.max
+
+
+def identity_spaces(n):
+    """Every space of degree n with k, l <= 2 and weights from IDENTITY_WEIGHTS."""
+    for k in range(3):
+        for l in range(3):
+            if k + l <= n:
+                for a, b in IDENTITY_WEIGHTS:
+                    yield TransformParams(n, k, l, a, b)
+
+
+def _outcome(f, p):
+    try:
+        v = np.asarray(f(p))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return v.shape, v.tobytes()
+
+
+def assert_same_bytes(got, want, p):
+    """``got(p)`` and ``want(p)`` return arrays of one shape and equal bytes,
+    or raise the same exception type."""
+    assert _outcome(got, p) == _outcome(want, p), p
 
 
 def mixed_excess(a, b, atol=ATOL, rtol=RTOL):

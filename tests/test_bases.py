@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, de_casteljau, eval_mod_jacobi, eval_shifted_jacobi
+from conftest import (
+    ALPHA_BETA,
+    IDENTITY_DEGREES,
+    assert_same_bytes,
+    de_casteljau,
+    eval_mod_jacobi,
+    eval_shifted_jacobi,
+    identity_spaces,
+)
 
 from bernjac.bases import (
     BezierCurve,
@@ -15,6 +23,7 @@ from bernjac.bases import (
     curve_to_json,
 )
 from bernjac.jacobi_to_bernstein import c_theorem2
+from bernjac.specialfn import beta_fn
 
 XS = np.linspace(0.0, 1.0, 17)
 
@@ -156,6 +165,27 @@ class TestBernsteinGram:
         G = bernstein_gram(TransformParams(n, k, l, a, b))
         assert np.array_equal(G, G.T)
         np.linalg.cholesky(G)  # raises if any pivot fails
+
+    @staticmethod
+    def scalar_gram(p):
+        """The double loop, one Beta call and two stores per upper entry,
+        operands read from ``p`` each time: ``bernstein_gram``'s bitwise
+        reference."""
+        hs = list(p.h_indices())
+        binom = [float(math.comb(p.n, h)) for h in hs]
+        G = np.empty((p.dim, p.dim))
+        for r, h in enumerate(hs):
+            for s in range(r, p.dim):
+                h2 = hs[s]
+                v = binom[r] * binom[s] * beta_fn(p.beta + h + h2 + 1.0, 2.0 * p.n - h - h2 + p.alpha + 1.0)
+                G[r, s] = v
+                G[s, r] = v
+        return G
+
+    @pytest.mark.parametrize("n", IDENTITY_DEGREES)
+    def test_matches_scalar_loop_bitwise(self, n):
+        for p in identity_spaces(n):
+            assert_same_bytes(bernstein_gram, self.scalar_gram, p)
 
 
 class TestEndpointVanishing:

@@ -2,7 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, EXTREME_WEIGHTS, assert_mixed_close, entry, eval_mod_jacobi, gen_binomial
+from conftest import (
+    ALPHA_BETA,
+    EXTREME_WEIGHTS,
+    IDENTITY_DEGREES,
+    assert_mixed_close,
+    assert_same_bytes,
+    entry,
+    eval_mod_jacobi,
+    gen_binomial,
+    identity_spaces,
+)
 
 from bernjac.bases import TransformParams, bernstein_gram
 from bernjac.bernstein_to_jacobi import _z_outer, d_direct, d_oracle, d_theorem3, d_theorem4, u_factors
@@ -265,3 +275,37 @@ def test_recurrence_step_counts():
         p = TransformParams(m + 2, 1, 1)
         for route in (d_theorem3, d_theorem4):
             assert route(p).recurrence_steps == (m + 1) * max(0, m - 1), (route.__name__, m)
+
+
+def scalar_d_theorem4(p):
+    """``d_theorem4`` with its lane loop as first written: every lane
+    recomputes 1 - v and w1's denominator.  The bitwise reference of that
+    loop; z is ``_z_outer``'s."""
+    n, k, l = p.n, p.k, p.l
+    a, b, sig = p.alpha, p.beta, p.sigma
+    m = n - k - l
+    hs = range(k + 2, n - l + 1)
+    dens = [(h + k + b) * (h + l - n - 1.0) for h in hs]
+    vcoef = [(h - k - 1.0) * (l + n + a + 2.0 - h) / den for h, den in zip(hs, dens)]
+    invden = [1.0 / den for den in dens]
+    lanes = np.empty((m + 1, m + 1))
+    for j, i in enumerate(range(k + l, n + 1)):
+        wfac = (i - k - l) * (i + k + l + sig)
+        w2 = 1.0
+        col = [w2]
+        if m >= 1:
+            w1 = 1.0 + wfac / ((b + 2.0 * k + 1.0) * (k + l - n))
+            col.append(w1)
+            for v, inv in zip(vcoef, invden):
+                w0 = (1.0 - v + wfac * inv) * w1 + v * w2
+                col.append(w0)
+                w2, w1 = w1, w0
+        lanes[j] = col
+    with np.errstate(all="ignore"):
+        return _z_outer(p) * lanes.T
+
+
+@pytest.mark.parametrize("n", IDENTITY_DEGREES)
+def test_theorem4_matches_scalar_lane_loop_bitwise(n):
+    for p in identity_spaces(n):
+        assert_same_bytes(lambda q: d_theorem4(q).values, scalar_d_theorem4, p)

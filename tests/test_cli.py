@@ -528,6 +528,46 @@ def test_out_path_that_is_a_directory_names_out_path_exit_2_no_file(tmp_path, mo
     assert list((tmp_path / "dir").iterdir()) == []
 
 
+@pytest.fixture
+def restore_umask():
+    """Set the process umask to 022 for one test and put the old one back after it."""
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+WRITING_COMMANDS = [
+    ["matrix", "d", "-n", "4"],
+    ["reduce", "--in", "curve.json", "-m", "1"],
+    ["bench", "--n-list", "3"],
+]
+
+
+@pytest.mark.usefixtures("restore_umask")
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)])
+@pytest.mark.parametrize("command", WRITING_COMMANDS, ids=["matrix", "reduce", "bench"])
+def test_new_out_file_takes_mode_from_umask(tmp_path, monkeypatch, command, mask, mode):
+    # the mode open(path, "w") would leave, not the temp file's 0600
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curve.json").write_text('{"degree": 2, "dimension": 1, "control_points": [[0], [1], [0]]}')
+    os.umask(mask)
+    assert main(command + ["--out", "x.out"]) == 0
+    assert os.stat(tmp_path / "x.out").st_mode & 0o777 == mode
+
+
+@pytest.mark.usefixtures("restore_umask")
+@pytest.mark.parametrize("command", WRITING_COMMANDS, ids=["matrix", "reduce", "bench"])
+def test_existing_out_file_keeps_its_mode(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curve.json").write_text('{"degree": 2, "dimension": 1, "control_points": [[0], [1], [0]]}')
+    out = tmp_path / "x.out"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    assert main(command + ["--out", "x.out"]) == 0
+    assert os.stat(out).st_mode & 0o777 == 0o640
+    assert out.read_text() != "old\n"
+
+
 # numpy's message for an array the host cannot hold (``matrix c -n 100000``)
 OUT_OF_MEMORY = "Unable to allocate 74.5 GiB for an array with shape (100001, 100001) and data type float64"
 

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import de_casteljau, end_derivatives
+from conftest import EXTREME_WEIGHTS, de_casteljau, end_derivatives
 
 import bernjac.bases as bases
 import bernjac.bernstein_to_jacobi as b2j
@@ -588,6 +589,28 @@ class TestReductionMatrixMemo:
                     assert res.l2_error == pytest.approx(err, rel=1e-13, abs=0), (m, k, l)
                     np.testing.assert_allclose(res.discarded.coeffs, discarded, rtol=0,
                                                atol=1e-13 * np.abs(discarded).max(), err_msg=str((m, k, l)))
+
+
+# weights past the tested envelope: EXTREME_WEIGHTS and four more
+FAR_WEIGHTS = EXTREME_WEIGHTS + ((1e300, 1e300), (0.0, 1e300), (1e150, 0.0), (1e20, 1e20))
+
+
+@pytest.mark.parametrize("alpha, beta", FAR_WEIGHTS)
+@pytest.mark.parametrize("n, m, k, l", [(2, 1, 0, 0), (6, 3, 1, 1), (12, 6, 1, 1), (20, 9, 2, 1)])
+def test_far_weights_give_a_finite_result_or_value_error(n, m, k, l, alpha, beta):
+    # no warning escapes (the suite turns warnings into errors); a refused map
+    # is not memoized, so a repeated call refuses again and never hits.  The
+    # first four EXTREME_WEIGHTS, and (1e20, 1e20) below n = 20, give finite maps
+    prob = ReductionProblem(BezierCurve(np.random.default_rng(n).standard_normal((n + 1, 2))), m, k, l, alpha, beta)
+    if (alpha, beta) in EXTREME_WEIGHTS[:4] or ((alpha, beta) == (1e20, 1e20) and n < 20):
+        res = reduce(prob)
+        assert all(np.isfinite(a).all() for a in (res.reduced.control_points, res.l2_error, res.discarded.coeffs))
+        return
+    hits = dred._reduction_matrices.cache_info().hits
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite entries at alpha={alpha!r}, beta={beta!r}")):
+            reduce(prob)
+    assert dred._reduction_matrices.cache_info().hits == hits
 
 
 def test_containers_holding_arrays_compare_and_hash_by_identity():

@@ -1,6 +1,19 @@
+import math
+
 import numpy as np
 import pytest
-from conftest import ALPHA_BETA, EXTREME_WEIGHTS, assert_mixed_close, de_casteljau, entry, eval_mod_jacobi, gen_binomial
+from conftest import (
+    ALPHA_BETA,
+    EXTREME_WEIGHTS,
+    IDENTITY_DEGREES,
+    assert_mixed_close,
+    assert_same_bytes,
+    de_casteljau,
+    entry,
+    eval_mod_jacobi,
+    gen_binomial,
+    identity_spaces,
+)
 
 from bernjac.bases import TransformParams
 from bernjac.jacobi_to_bernstein import c_direct, c_oracle, c_theorem1, c_theorem2
@@ -207,3 +220,39 @@ def test_direct_and_oracle_report_no_steps():
     p = TransformParams(5, 1, 0)
     assert c_direct(p).recurrence_steps is None
     assert c_oracle(p).recurrence_steps is None
+
+
+def scalar_c_theorem2(p):
+    """``c_theorem2`` with its row update as first written: every factor
+    spelled out where it is used and every entry of the previous rows
+    indexed.  The bitwise reference of that loop."""
+    n, k, l, a, b = p.n, p.k, p.l, p.alpha, p.beta
+    m = n - k - l
+    sig = p.sigma
+    row0 = [0.0] * (m + 1)
+    row0[0] = 1.0 / float(math.comb(n, k))
+    for s in range(m):
+        h = k + s
+        row0[s + 1] = row0[s] * (h + 1.0) * (n - l - h) / ((n - h) * (h + 1.0 - k))
+    values = np.empty((m + 1, m + 1))
+    values[0] = prev1 = row0
+    if m >= 1:
+        cfac = (sig + 2.0 * k + 2.0 * l + 1.0) / (k + l - n)
+        prev2, prev1 = prev1, [row0[s] * (a + 2.0 * l + 1.0 - cfac * (l + k + s - n)) for s in range(m + 1)]
+        values[1] = prev1
+    for r, i in enumerate(range(k + l + 2, n + 1), start=2):
+        M = (i - k - l - 1.0) * (n + i + a + b) * (i + k + b - l - 1.0) * (2.0 * i + a + b) / (
+            (2.0 * i + a + b - 2.0) * (i + k + l + a + b) * (i + l + a - k) * (i - n - 1.0))
+        L = (a + l + i - k - 1.0) * (a + l + i - k) / ((i - k - l - 1.0) * (i - k - l)) * M
+        kbase = (a + l + i - k) * (1.0 - M) / (i - k - l)
+        kslope = (2.0 * i + a + b - 1.0) * (2.0 * i + a + b) / (
+            (i - k - l) * (i + k + l + a + b) * (i - n - 1.0))
+        prev2, prev1 = prev1, [(kbase - (s - m) * kslope) * prev1[s] + L * prev2[s] for s in range(m + 1)]
+        values[r] = prev1
+    return values
+
+
+@pytest.mark.parametrize("n", IDENTITY_DEGREES)
+def test_theorem2_matches_scalar_row_update_bitwise(n):
+    for p in identity_spaces(n):
+        assert_same_bytes(lambda q: c_theorem2(q).values, scalar_c_theorem2, p)
